@@ -127,8 +127,6 @@ func Main(args []string, stdout, stderr io.Writer) int {
 		err = Overhead(stdout, eng, rest)
 	case "autofix":
 		err = Autofix(stdout, eng, rest)
-	case "random":
-		err = Random(stdout, eng, rest)
 	case "verify":
 		err = Verify(stdout, eng, rest)
 	case "discover":
@@ -248,16 +246,10 @@ commands:
       -ranks n              world size (0 = the application's default)
       -scale f              workload scale (default 0.25)
       -json file            export the fleet report as JSON
-      -batch n              ranks folded per reduction task (0 = ~4 batches
-                            per worker); any value yields identical bytes
-      -spill-budget n       resident-partial byte budget before the reduction
-                            spills sealed partials to disk (0 = never spill)
-      -spill-dir dir        where spilled partials go (default: a temp dir)
   table1 [-scale f]         reproduce Table 1 (estimated vs actual benefit)
   table2 [app] [-scale f]   reproduce Table 2 (NVProf vs HPCToolkit vs Diogenes)
   overhead <app> [-scale f] show the §5.3 data-collection cost breakdown
   autofix <app> [-scale f]  plan, apply, and validate automatic corrections (§6)
-  random [-seed n]          run the pipeline on a seeded random workload
   verify [-scale f]         apply automatic corrections to every app and
                             compare against the paper's manual fixes
   discover                  run the §3.1 sync-function identification test
@@ -282,8 +274,6 @@ commands:
                             every append; default 64)
       -ledger-flush d       provenance ledger flush interval (default 2s;
                             negative disables the timer)
-      -fleet-spill n        fleet-job resident-partial byte budget before
-                            spilling to a per-job temp dir (0 = never spill)
       -timeout d            default per-job execution cap
       -drain d              graceful-shutdown drain budget (default 30s)
       -peers a,b,c          shard-group peer list; this instance becomes one
@@ -463,7 +453,7 @@ func RunCmd(w io.Writer, eng *experiments.Engine, args []string) error {
 		fmt.Fprintf(w, "\nannotated trace exported to %s\n", *recordsPath)
 	}
 	if *timelinePath != "" {
-		tl := timeline.Build(rep.Trace, rep.DeviceOps)
+		tl := timeline.FromTrace(rep.Trace, rep.DeviceOps).Chrome()
 		if err := writeFile(*timelinePath, tl.Write); err != nil {
 			return err
 		}
@@ -636,9 +626,6 @@ func Fleet(w io.Writer, eng *experiments.Engine, args []string) error {
 	ranks := fs.Int("ranks", 0, "world size (0 = the application's default)")
 	scale := fs.Float64("scale", 0.25, "workload scale")
 	jsonPath := fs.String("json", "", "export the fleet report as JSON")
-	batch := fs.Int("batch", 0, "ranks folded per reduction task (0 = ~4 batches per worker)")
-	spillBudget := fs.Int64("spill-budget", 0, "resident-partial byte budget before spilling to disk (0 = never spill)")
-	spillDir := fs.String("spill-dir", "", "directory for spilled partials (default: a temp dir, removed afterwards)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -648,9 +635,6 @@ func Fleet(w io.Writer, eng *experiments.Engine, args []string) error {
 	if name == "" {
 		return fmt.Errorf("fleet: application name expected (see 'diogenes list')")
 	}
-	eng.FleetBatch = *batch
-	eng.FleetSpillBudget = *spillBudget
-	eng.FleetSpillDir = *spillDir
 	fr, err := eng.Fleet(name, *scale, *ranks)
 	if err != nil {
 		return err
@@ -738,29 +722,6 @@ func Autofix(w io.Writer, eng *experiments.Engine, args []string) error {
 	fmt.Fprintf(w, "  calls elided:   %d   transfer sources guarded: %d\n",
 		v.SuppressedCalls, v.GuardedRanges)
 	return nil
-}
-
-// Random runs the pipeline on a seeded random workload — a quick way to
-// exercise the whole stack on call patterns no modelled application has.
-func Random(w io.Writer, eng *experiments.Engine, args []string) error {
-	fs := newFlagSet("random")
-	seed := fs.Uint64("seed", 1, "workload seed")
-	steps := fs.Int("steps", 80, "workload length")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	cfg := ffm.DefaultConfig()
-	cfg.Workers = eng.StageWorkers
-	cfg.Obs = eng.Obs
-	rep, err := ffm.Run(apps.NewRandomApp(*seed, *steps), cfg)
-	if err != nil {
-		return err
-	}
-	if err := report.Savings(w, rep.Analysis); err != nil {
-		return err
-	}
-	fmt.Fprintln(w)
-	return report.OverlapSummary(w, rep.Overlap())
 }
 
 // Verify applies the automatic correction to every modelled application and

@@ -247,8 +247,13 @@ func TestAutofixCommand(t *testing.T) {
 	}
 }
 
+// TestRandomCommand drives the random workload family through run, the one
+// workload entry point; the retired standalone command is unknown.
 func TestRandomCommand(t *testing.T) {
-	code, out, errOut := runMain(t, "random", "-seed", "7", "-steps", "40")
+	if code, _, errOut := runMain(t, "random", "-seed", "7"); code != 2 || !strings.Contains(errOut, `unknown command "random"`) {
+		t.Fatalf("random: exit = %d, stderr = %q; want the unknown-command error", code, errOut)
+	}
+	code, out, errOut := runMain(t, "run", "-family", "random", "-seed", "7", "-steps", "40")
 	if code != 0 {
 		t.Fatalf("exit = %d: %s", code, errOut)
 	}

@@ -39,7 +39,6 @@ func serveWithContext(ctx context.Context, w io.Writer, args []string) error {
 	ledgerBatch := fs.Int("ledger-batch", 0, "provenance ledger Merkle batch size (1 = seal every append; 0 = default 64)")
 	ledgerFlush := fs.Duration("ledger-flush", 0, "provenance ledger flush interval (0 = default 2s; negative disables the timer)")
 	cacheBudget := fs.Int64("cache-budget", 0, "in-memory report cache byte budget (0 = unbounded)")
-	fleetSpill := fs.Int64("fleet-spill", 0, "fleet-job resident-partial byte budget before spilling (0 = never spill)")
 	timeout := fs.Duration("timeout", 0, "default per-job execution cap (0 = none)")
 	drain := fs.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")
 	peers := fs.String("peers", "", "comma-separated shard-group peer list (host:port,...); empty = single-node")
@@ -66,17 +65,16 @@ func serveWithContext(ctx context.Context, w io.Writer, args []string) error {
 	}
 
 	srv, err := serve.New(serve.Options{
-		Cluster: group,
-		Workers:          *workers,
-		QueueCapacity:    *queueCap,
-		EngineWorkers:    *engineWorkers,
-		DefaultTimeout:   *timeout,
-		StoreDir:         *storeDir,
-		StoreBudget:      *storeBudget,
-		LedgerBatch:      *ledgerBatch,
-		LedgerFlush:      *ledgerFlush,
-		CacheBudget:      *cacheBudget,
-		FleetSpillBudget: *fleetSpill,
+		Cluster:        group,
+		Workers:        *workers,
+		QueueCapacity:  *queueCap,
+		EngineWorkers:  *engineWorkers,
+		DefaultTimeout: *timeout,
+		StoreDir:       *storeDir,
+		StoreBudget:    *storeBudget,
+		LedgerBatch:    *ledgerBatch,
+		LedgerFlush:    *ledgerFlush,
+		CacheBudget:    *cacheBudget,
 	})
 	if err != nil {
 		return err

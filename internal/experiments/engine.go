@@ -40,21 +40,13 @@ type Engine struct {
 	// 0 selects a 50ms default; tests set it to a nanosecond. Backoff is
 	// wall time, not virtual time — it paces the retry, never the model.
 	FleetBackoff time.Duration
-	// FleetBatch is how many contiguous ranks one fleet reduction task
-	// folds before offering its partial to the accumulator. 0 picks a
-	// width-aware default (at least four batches per worker). The fleet
-	// document is byte-identical at every batch size.
-	FleetBatch int
-	// FleetSpillDir is where sealed fleet partials spill when
-	// FleetSpillBudget is exceeded; empty selects a per-reduction temp
-	// directory that is removed afterwards.
-	FleetSpillDir string
-	// FleetSpillBudget caps the estimated resident bytes of fleet
-	// partials parked waiting for an adjacent neighbor; beyond it the
-	// largest parked partial spills to disk. 0 (the default) never
-	// spills.
-	FleetSpillBudget int64
 
+	// fleetBatch is how many contiguous ranks one fleet reduction task
+	// folds before offering its partial to the accumulator. 0 picks a
+	// width-aware default (at least four batches per worker); tests set
+	// it to force merge-tree shapes. The fleet document is byte-identical
+	// at every batch size.
+	fleetBatch int
 	// fleetAcc publishes the current fleet reduction's accumulator so
 	// FleetProgress can stream its counters while ranks are running.
 	fleetAcc atomic.Pointer[ffm.FleetAccumulator]

@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"os"
 	"time"
 
 	"diogenes/internal/apps"
@@ -130,12 +129,7 @@ func (e *Engine) fleetReduce(ctx context.Context, app string, ranks int, outcome
 	if err != nil {
 		return nil, err
 	}
-	spill, cleanup, err := e.fleetSpill()
-	if err != nil {
-		return nil, err
-	}
-	defer cleanup()
-	acc := ffm.NewFleetAccumulator(ranks, spill, e.FleetSpillBudget)
+	acc := ffm.NewFleetAccumulator(ranks)
 	e.fleetAcc.Store(acc)
 	batch := e.fleetBatchSize(ranks, pool.Workers())
 	tasks := make([]sched.Task, 0, (ranks+batch-1)/batch)
@@ -149,7 +143,7 @@ func (e *Engine) fleetReduce(ctx context.Context, app string, ranks int, outcome
 			Fn: func(ctx context.Context) error {
 				// Containment: a failed rank degrades the report; it must
 				// never fail — or first-error-cancel — the launch. Only
-				// accumulator faults (spill I/O, broken adjacency) error.
+				// accumulator faults (broken adjacency) error.
 				var part *ffm.FleetPartial
 				for r := lo; r < hi; r++ {
 					leaf := ffm.FoldRankOutcome(outcome(ctx, r))
@@ -180,9 +174,9 @@ func (e *Engine) fleetReduce(ctx context.Context, app string, ranks int, outcome
 // fleetBatchSize resolves how many contiguous ranks one reduction task
 // folds. The default keeps at least four batches per worker in flight so
 // small worlds still parallelize, while large worlds amortize task and
-// merge overhead; FleetBatch overrides it.
+// merge overhead; fleetBatch overrides it.
 func (e *Engine) fleetBatchSize(ranks, workers int) int {
-	b := e.FleetBatch
+	b := e.fleetBatch
 	if b <= 0 {
 		if workers < 1 {
 			workers = 1
@@ -198,35 +192,9 @@ func (e *Engine) fleetBatchSize(ranks, workers int) int {
 	return b
 }
 
-// fleetSpill builds the accumulator's spill store. Spilling only engages
-// when a byte budget is set; the directory defaults to a per-reduction
-// temp dir that cleanup removes.
-func (e *Engine) fleetSpill() (ffm.SpillStore, func(), error) {
-	nop := func() {}
-	if e.FleetSpillBudget <= 0 {
-		return nil, nop, nil
-	}
-	dir := e.FleetSpillDir
-	cleanup := nop
-	if dir == "" {
-		d, err := os.MkdirTemp("", "diogenes-fleet-spill-")
-		if err != nil {
-			return nil, nil, fmt.Errorf("experiments: fleet spill: %w", err)
-		}
-		dir = d
-		cleanup = func() { os.RemoveAll(d) }
-	}
-	fs, err := ffm.NewFileSpill(dir)
-	if err != nil {
-		cleanup()
-		return nil, nil, err
-	}
-	return fs, cleanup, nil
-}
-
 // FleetProgress reports the live accumulator counters of the engine's
-// current (or most recent) fleet reduction: ranks folded, partial merges,
-// spill activity. ok is false before the first fleet run. The serving
+// current (or most recent) fleet reduction: ranks folded and partial
+// merges. ok is false before the first fleet run. The serving
 // layer polls it to stream fleet job progress.
 func (e *Engine) FleetProgress() (ffm.FleetProgress, bool) {
 	acc := e.fleetAcc.Load()

@@ -29,38 +29,34 @@ func skewedConfig(ranks int) mpi.Config {
 	}
 }
 
-// streamGolden asserts every (workers, batch, spill budget) combination
-// produces byte-identical fleet documents at the given width, and checks
-// them against a committed golden file.
-func streamGolden(t *testing.T, ranks int, goldenName string, configs []struct {
-	workers int
-	batch   int
-	budget  int64
-}) {
+// streamShape is one engine configuration of the streaming reduction:
+// pool width and ranks per reduction task (0 = the width-aware default).
+type streamShape struct{ workers, batch int }
+
+// streamGolden asserts every (workers, batch) shape produces
+// byte-identical fleet documents at the given width, and checks them
+// against a committed golden file.
+func streamGolden(t *testing.T, ranks int, goldenName string, shapes []streamShape) {
 	t.Helper()
 	var want []byte
-	for _, c := range configs {
+	for _, c := range shapes {
 		eng := NewEngine(c.workers)
-		eng.FleetBatch = c.batch
-		eng.FleetSpillBudget = c.budget
+		eng.fleetBatch = c.batch
 		newProg := func(int) mpi.RankProgram { return &skewedRanks{steps: 1} }
 		fr, err := eng.FleetOver("skewed-ranks", newProg, skewedConfig(ranks))
 		if err != nil {
-			t.Fatalf("workers=%d batch=%d budget=%d: %v", c.workers, c.batch, c.budget, err)
+			t.Fatalf("workers=%d batch=%d: %v", c.workers, c.batch, err)
 		}
 		got := fleetJSON(t, fr)
 		if want == nil {
 			want = got
 		} else if !bytes.Equal(got, want) {
-			t.Fatalf("workers=%d batch=%d budget=%d: fleet report differs (%d vs %d bytes)",
-				c.workers, c.batch, c.budget, len(got), len(want))
+			t.Fatalf("workers=%d batch=%d: fleet report differs (%d vs %d bytes)",
+				c.workers, c.batch, len(got), len(want))
 		}
 		p, ok := eng.FleetProgress()
 		if !ok || p.RanksDone != ranks || p.RanksTotal != ranks {
 			t.Fatalf("workers=%d: progress %+v ok=%v, want %d/%d", c.workers, p, ok, ranks, ranks)
-		}
-		if c.budget > 0 && c.budget < 1024 && p.Spills == 0 {
-			t.Fatalf("workers=%d budget=%d: reduction never spilled", c.workers, c.budget)
 		}
 	}
 
@@ -82,38 +78,29 @@ func streamGolden(t *testing.T, ranks int, goldenName string, configs []struct {
 }
 
 // TestFleetStreamDeterministic64 is the width-invariance claim at 64
-// ranks: serial, 4-way and 8-way engines, unit and default batch sizes,
-// and a spill-everything budget all produce the same bytes.
+// ranks: serial, 4-way and 8-way engines with unit, odd and default
+// batch sizes all produce the same bytes.
 func TestFleetStreamDeterministic64(t *testing.T) {
-	streamGolden(t, 64, "fleet_stream64.golden.json", []struct {
-		workers int
-		batch   int
-		budget  int64
-	}{
+	streamGolden(t, 64, "fleet_stream64.golden.json", []streamShape{
 		{workers: 1},
 		{workers: 4},
 		{workers: 8},
 		{workers: 4, batch: 1},
 		{workers: 8, batch: 7},
-		{workers: 8, budget: 1},
 	})
 }
 
 // TestFleetStreamDeterministic256 repeats the claim at 256 ranks — wide
-// enough that the default batching produces a real merge tree — with a
-// spilling configuration in the mix.
+// enough that the default batching produces a real merge tree — with an
+// odd batch width that leaves a ragged last task in the mix.
 func TestFleetStreamDeterministic256(t *testing.T) {
 	if testing.Short() {
 		t.Skip("256-rank world simulation in -short mode")
 	}
-	streamGolden(t, 256, "fleet_stream256.golden.json", []struct {
-		workers int
-		batch   int
-		budget  int64
-	}{
+	streamGolden(t, 256, "fleet_stream256.golden.json", []streamShape{
 		{workers: 1},
 		{workers: 8},
-		{workers: 8, batch: 5, budget: 1},
+		{workers: 8, batch: 5},
 	})
 }
 

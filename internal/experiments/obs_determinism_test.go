@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"diogenes/internal/obs"
@@ -47,6 +49,29 @@ func TestObsTraceDeterministic(t *testing.T) {
 		if len(f.EventsNamed(stage)) == 0 {
 			t.Errorf("trace missing stage span %q", stage)
 		}
+	}
+}
+
+// TestObsTraceGolden pins the span-trace layout itself: the Chrome export
+// of a serial rodinia_gaussian pipeline — event order, virtual placement,
+// rows, args and file metadata — matches the committed bytes. The
+// determinism test above only proves serial and parallel agree.
+func TestObsTraceGolden(t *testing.T) {
+	got := chromeBytes(t, &Engine{Workers: 1}, "rodinia_gaussian")
+	path := filepath.Join("testdata", "rodinia_gaussian.spans.golden.json")
+	if *updateGolden {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("golden file missing (run with -update to create): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("span trace diverged from golden %s (got %d bytes, want %d)\n--- got ---\n%s",
+			path, len(got), len(want), got)
 	}
 }
 

@@ -1,10 +1,7 @@
 package ffm
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -26,49 +23,31 @@ import (
 // FleetPartial is the cross-rank aggregation state for one contiguous
 // range of ranks [Lo, Hi): per-rank outcome summaries (reports already
 // released), the duplicate-transfer merge keyed by payload digest, and
-// the per-problem benefit spread with min/max rank attribution. The
-// exported fields round-trip through JSON so a sealed partial can spill
-// to disk and be reloaded for its merge without loss.
+// the per-problem benefit spread with min/max rank attribution.
 //
 // Dups deliberately keeps digests seen on only one rank: a digest that is
 // single-rank inside this range may become cross-rank when an adjacent
 // range carries it too. The single-rank leftovers are dropped only at
 // assembly time, exactly like AggregateFleet's final filter.
 type FleetPartial struct {
-	Lo int `json:"lo"`
-	Hi int `json:"hi"`
+	Lo, Hi int
 	// Analyzed counts ranks in the range that produced a report.
-	Analyzed int   `json:"analyzed"`
-	Failed   []int `json:"failed,omitempty"`
+	Analyzed int
+	Failed   []int
 	// Outcomes holds the range's per-rank summaries in rank order. The
 	// Report pointers are nil — folding strips them.
-	Outcomes []RankOutcome    `json:"outcomes"`
-	Dups     []FleetDuplicate `json:"dups,omitempty"`
-	Problems []FleetProblem   `json:"problems,omitempty"`
+	Outcomes []RankOutcome
+	Dups     []FleetDuplicate
+	Problems []FleetProblem
 
-	// Lookup indexes into Dups/Problems, maintained incrementally so
-	// absorbing a partial costs O(absorbed), not O(resident). Rebuilt on
-	// demand after a JSON round-trip.
+	// Lookup indexes into Dups/Problems, built by FoldRankOutcome and
+	// maintained incrementally so absorbing a partial costs O(absorbed),
+	// not O(resident).
 	dupIdx  map[string]int
 	probIdx map[problemKey]int
 }
 
 type problemKey struct{ kind, label string }
-
-func (p *FleetPartial) ensureIndex() {
-	if p.dupIdx == nil {
-		p.dupIdx = make(map[string]int, len(p.Dups))
-		for i := range p.Dups {
-			p.dupIdx[p.Dups[i].Hash] = i
-		}
-	}
-	if p.probIdx == nil {
-		p.probIdx = make(map[problemKey]int, len(p.Problems))
-		for i := range p.Problems {
-			p.probIdx[problemKey{p.Problems[i].Kind, p.Problems[i].Label}] = i
-		}
-	}
-}
 
 // FoldRankOutcome folds one rank's outcome into a single-rank partial,
 // filling the outcome's summary fields from its report (execution time,
@@ -81,8 +60,11 @@ func (p *FleetPartial) ensureIndex() {
 // min/max tie rules, so merging folds reproduces the pre-streaming
 // collect-then-aggregate output byte for byte.
 func FoldRankOutcome(o RankOutcome) *FleetPartial {
-	p := &FleetPartial{Lo: o.Rank, Hi: o.Rank + 1}
-	p.ensureIndex()
+	p := &FleetPartial{
+		Lo: o.Rank, Hi: o.Rank + 1,
+		dupIdx:  make(map[string]int),
+		probIdx: make(map[problemKey]int),
+	}
 	rep := o.Report
 	o.Report = nil
 	if rep == nil {
@@ -175,7 +157,6 @@ func Merge(a, b *FleetPartial) (*FleetPartial, error) {
 // absorb extends a by b's state without range checking (Merge checks;
 // AggregateFleet feeds outcomes already in rank order).
 func (p *FleetPartial) absorb(q *FleetPartial) {
-	p.ensureIndex()
 	p.Hi = q.Hi
 	p.Analyzed += q.Analyzed
 	p.Failed = append(p.Failed, q.Failed...)
@@ -253,64 +234,14 @@ func (p *FleetPartial) assemble(app string, ranks int, skew *FleetSkew) *FleetRe
 	return fr
 }
 
-// SpillStore persists sealed fleet partials outside the heap while they
-// wait for an adjacent neighbor. Unlike the serving layer's LRU report
-// store, a spill store must never evict: a spilled partial is live
-// reduction state, and losing one loses ranks. Implementations must be
-// safe for concurrent use.
-type SpillStore interface {
-	Put(key string, val []byte) error
-	// Get returns the spilled bytes for key.
-	Get(key string) ([]byte, error)
-	// Delete releases a spilled entry after it has been reloaded.
-	Delete(key string) error
-}
-
-// FileSpill is the file-per-partial SpillStore: one JSON document per
-// sealed partial under a directory. Keys are the accumulator's
-// "partial-<lo>-<hi>" names, so the on-disk layout is inspectable.
-type FileSpill struct{ dir string }
-
-// NewFileSpill opens (creating if needed) a spill directory.
-func NewFileSpill(dir string) (*FileSpill, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("ffm: spill dir: %w", err)
-	}
-	return &FileSpill{dir: dir}, nil
-}
-
-func (s *FileSpill) path(key string) string { return filepath.Join(s.dir, key+".json") }
-
-func (s *FileSpill) Put(key string, val []byte) error {
-	return os.WriteFile(s.path(key), val, 0o644)
-}
-
-func (s *FileSpill) Get(key string) ([]byte, error) {
-	return os.ReadFile(s.path(key))
-}
-
-func (s *FileSpill) Delete(key string) error {
-	err := os.Remove(s.path(key))
-	if os.IsNotExist(err) {
-		return nil
-	}
-	return err
-}
-
 // FleetProgress is a live snapshot of one fleet reduction: how many ranks
-// have folded, how the merge tree is progressing, and how much sealed
-// state has spilled to disk. The serving layer streams it on fleet job
-// views so a 1024-rank job reports per-rank progress instead of silence
-// until the end.
+// have folded and how the merge tree is progressing. The serving layer
+// streams it on fleet job views so a 1024-rank job reports per-rank
+// progress instead of silence until the end.
 type FleetProgress struct {
-	RanksDone    int   `json:"ranksDone"`
-	RanksTotal   int   `json:"ranksTotal"`
-	Merges       int   `json:"merges"`
-	Spills       int   `json:"spills"`
-	SpilledBytes int64 `json:"spilledBytes"`
-	// ResidentBytes is the estimated in-memory cost of partials parked
-	// waiting for an adjacent neighbor.
-	ResidentBytes int64 `json:"residentBytes"`
+	RanksDone  int `json:"ranksDone"`
+	RanksTotal int `json:"ranksTotal"`
+	Merges     int `json:"merges"`
 }
 
 // FleetAccumulator is the concurrent fan-in point of the streaming fleet
@@ -319,44 +250,24 @@ type FleetProgress struct {
 // offered partial with any parked neighbor covering the adjacent range
 // (merges run on the offering worker, outside the lock, so independent
 // regions of the rank space merge in parallel) and parks it otherwise.
-// When a byte budget is set, parked partials beyond it spill to the
-// SpillStore and are reloaded only when their neighbor arrives. Because
-// merging is adjacency-keyed and associative, the finalized report is
-// identical for every completion order, worker count, and spill schedule.
+// Because merging is adjacency-keyed and associative, the finalized
+// report is identical for every completion order and worker count.
 type FleetAccumulator struct {
-	ranks  int
-	spill  SpillStore
-	budget int64
+	ranks int
 
-	mu       sync.Mutex
-	pending  map[int]*parkedPartial // keyed by range start
-	byHi     map[int]int            // range end -> range start
-	resident int64                  // estimated bytes of in-memory parked partials
+	mu      sync.Mutex
+	pending map[int]*FleetPartial // keyed by range start
+	byHi    map[int]int           // range end -> range start
 
-	ranksDone    atomic.Int64
-	merges       atomic.Int64
-	spills       atomic.Int64
-	spilledBytes atomic.Int64
+	ranksDone atomic.Int64
+	merges    atomic.Int64
 }
 
-// parkedPartial is one waiting range: in memory (p != nil) or spilled
-// (p == nil, key addresses the spill store).
-type parkedPartial struct {
-	lo, hi int
-	p      *FleetPartial
-	key    string
-	cost   int64
-}
-
-// NewFleetAccumulator builds an accumulator for a world of the given
-// size. spill may be nil (never spill); budget <= 0 parks everything in
-// memory even when a store is present.
-func NewFleetAccumulator(ranks int, spill SpillStore, budget int64) *FleetAccumulator {
+// NewFleetAccumulator builds an accumulator for a world of the given size.
+func NewFleetAccumulator(ranks int) *FleetAccumulator {
 	return &FleetAccumulator{
 		ranks:   ranks,
-		spill:   spill,
-		budget:  budget,
-		pending: make(map[int]*parkedPartial),
+		pending: make(map[int]*FleetPartial),
 		byHi:    make(map[int]int),
 	}
 }
@@ -374,164 +285,52 @@ func (a *FleetAccumulator) Add(o RankOutcome) error {
 }
 
 // Offer hands a partial to the reduction. It repeatedly merges with any
-// parked adjacent neighbor (loading spilled neighbors back first) and
-// parks the result once no neighbor is waiting. Safe for concurrent use;
-// the actual merging runs outside the accumulator lock.
+// parked adjacent neighbor and parks the result once no neighbor is
+// waiting. Safe for concurrent use; the actual merging runs outside the
+// accumulator lock.
 func (a *FleetAccumulator) Offer(p *FleetPartial) error {
 	if p == nil {
 		return nil
 	}
 	for {
 		a.mu.Lock()
+		var left, right *FleetPartial
 		if lo, ok := a.byHi[p.Lo]; ok { // left neighbor ends where p begins
-			pk := a.takeLocked(lo)
+			left, right = a.takeLocked(lo), p
+		} else if _, ok := a.pending[p.Hi]; ok { // right neighbor begins where p ends
+			left, right = p, a.takeLocked(p.Hi)
+		} else {
+			a.pending[p.Lo] = p
+			a.byHi[p.Hi] = p.Lo
 			a.mu.Unlock()
-			left, err := a.loadParked(pk)
-			if err != nil {
-				return err
-			}
-			merged, err := Merge(left, p)
-			if err != nil {
-				return err
-			}
-			a.merges.Add(1)
-			p = merged
-			continue
+			return nil
 		}
-		if _, ok := a.pending[p.Hi]; ok { // right neighbor begins where p ends
-			pk := a.takeLocked(p.Hi)
-			a.mu.Unlock()
-			right, err := a.loadParked(pk)
-			if err != nil {
-				return err
-			}
-			merged, err := Merge(p, right)
-			if err != nil {
-				return err
-			}
-			a.merges.Add(1)
-			p = merged
-			continue
-		}
-		a.parkLocked(p)
 		a.mu.Unlock()
-		return nil
+		merged, err := Merge(left, right)
+		if err != nil {
+			return err
+		}
+		a.merges.Add(1)
+		p = merged
 	}
 }
 
 // takeLocked removes and returns the parked range starting at lo.
 // a.mu must be held.
-func (a *FleetAccumulator) takeLocked(lo int) *parkedPartial {
-	pk := a.pending[lo]
+func (a *FleetAccumulator) takeLocked(lo int) *FleetPartial {
+	p := a.pending[lo]
 	delete(a.pending, lo)
-	delete(a.byHi, pk.hi)
-	if pk.p != nil {
-		a.resident -= pk.cost
-	}
-	return pk
-}
-
-// loadParked materializes a parked partial, reloading it from the spill
-// store when it was sealed to disk.
-func (a *FleetAccumulator) loadParked(pk *parkedPartial) (*FleetPartial, error) {
-	if pk.p != nil {
-		return pk.p, nil
-	}
-	data, err := a.spill.Get(pk.key)
-	if err != nil {
-		return nil, fmt.Errorf("ffm: reload spilled fleet partial %s: %w", pk.key, err)
-	}
-	if err := a.spill.Delete(pk.key); err != nil {
-		return nil, fmt.Errorf("ffm: release spilled fleet partial %s: %w", pk.key, err)
-	}
-	var p FleetPartial
-	if err := json.Unmarshal(data, &p); err != nil {
-		return nil, fmt.Errorf("ffm: decode spilled fleet partial %s: %w", pk.key, err)
-	}
-	return &p, nil
-}
-
-// parkLocked shelves a partial that has no waiting neighbor, spilling
-// parked state to disk while the resident estimate exceeds the budget.
-// A spill write failure degrades to keeping the partial in memory — the
-// budget is a target, correctness never depends on it. a.mu must be held.
-func (a *FleetAccumulator) parkLocked(p *FleetPartial) {
-	pk := &parkedPartial{lo: p.Lo, hi: p.Hi, p: p, cost: p.estimateCost()}
-	a.pending[pk.lo] = pk
-	a.byHi[pk.hi] = pk.lo
-	a.resident += pk.cost
-	if a.spill == nil || a.budget <= 0 {
-		return
-	}
-	for a.resident > a.budget {
-		victim := a.largestResidentLocked()
-		if victim == nil {
-			return
-		}
-		data, err := json.Marshal(victim.p)
-		if err != nil {
-			return
-		}
-		key := fmt.Sprintf("partial-%d-%d", victim.lo, victim.hi)
-		if err := a.spill.Put(key, data); err != nil {
-			return
-		}
-		victim.p = nil
-		victim.key = key
-		a.resident -= victim.cost
-		a.spills.Add(1)
-		a.spilledBytes.Add(int64(len(data)))
-	}
-}
-
-// largestResidentLocked picks the costliest in-memory parked partial (the
-// best spill candidate: fewest writes to get under budget). Ties go to
-// the lowest range start so the spill schedule is deterministic.
-func (a *FleetAccumulator) largestResidentLocked() *parkedPartial {
-	var victim *parkedPartial
-	for _, pk := range a.pending {
-		if pk.p == nil {
-			continue
-		}
-		if victim == nil || pk.cost > victim.cost || (pk.cost == victim.cost && pk.lo < victim.lo) {
-			victim = pk
-		}
-	}
-	return victim
-}
-
-// estimateCost approximates the partial's resident footprint for the
-// spill budget. It is an estimate — slice headers and map overhead are
-// charged at flat rates — because the budget bounds order of magnitude,
-// not bytes.
-func (p *FleetPartial) estimateCost() int64 {
-	c := int64(256)
-	c += int64(len(p.Failed)) * 8
-	for i := range p.Outcomes {
-		c += int64(96 + len(p.Outcomes[i].Err))
-	}
-	for i := range p.Dups {
-		c += int64(64 + len(p.Dups[i].Hash) + len(p.Dups[i].Func) + 8*len(p.Dups[i].Ranks))
-	}
-	for i := range p.Problems {
-		c += int64(96 + len(p.Problems[i].Kind) + len(p.Problems[i].Label) + 8*len(p.Problems[i].Ranks))
-	}
-	return c
+	delete(a.byHi, p.Hi)
+	return p
 }
 
 // Progress snapshots the live counters. Safe to call concurrently with
 // Offer, including after Finalize.
 func (a *FleetAccumulator) Progress() FleetProgress {
-	a.mu.Lock()
-	resident := a.resident
-	a.mu.Unlock()
 	return FleetProgress{
-		RanksDone:     int(a.ranksDone.Load()),
-		RanksTotal:    a.ranks,
-		Merges:        int(a.merges.Load()),
-		Spills:        int(a.spills.Load()),
-		SpilledBytes:  a.spilledBytes.Load(),
-		ResidentBytes: resident,
+		RanksDone:  int(a.ranksDone.Load()),
+		RanksTotal: a.ranks,
+		Merges:     int(a.merges.Load()),
 	}
 }
 
@@ -542,29 +341,19 @@ func (a *FleetAccumulator) Progress() FleetProgress {
 // naming the missing ranks instead of a silently truncated report.
 func (a *FleetAccumulator) Finalize(app string, skew *FleetSkew) (*FleetReport, error) {
 	a.mu.Lock()
+	defer a.mu.Unlock()
 	if len(a.pending) != 1 {
 		covered := make([]string, 0, len(a.pending))
-		for lo, pk := range a.pending {
-			covered = append(covered, fmt.Sprintf("[%d,%d)", lo, pk.hi))
+		for lo, p := range a.pending {
+			covered = append(covered, fmt.Sprintf("[%d,%d)", lo, p.Hi))
 		}
 		sort.Strings(covered)
-		a.mu.Unlock()
 		return nil, fmt.Errorf("ffm: fleet reduction incomplete: %d disjoint partials pending (%v), expected one spanning [0,%d)", len(a.pending), covered, a.ranks)
 	}
-	pk, ok := a.pending[0]
-	if !ok || pk.hi != a.ranks {
-		a.mu.Unlock()
+	p, ok := a.pending[0]
+	if !ok || p.Hi != a.ranks {
 		return nil, fmt.Errorf("ffm: fleet reduction incomplete: pending partial does not span [0,%d)", a.ranks)
 	}
-	delete(a.pending, 0)
-	delete(a.byHi, pk.hi)
-	if pk.p != nil {
-		a.resident -= pk.cost
-	}
-	a.mu.Unlock()
-	p, err := a.loadParked(pk)
-	if err != nil {
-		return nil, err
-	}
+	a.takeLocked(0)
 	return p.assemble(app, a.ranks, skew), nil
 }

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"diogenes/internal/ffm/graph"
@@ -114,14 +112,27 @@ func TestMergeRequiresAdjacency(t *testing.T) {
 
 // TestAccumulatorMatchesAggregate is the core equivalence claim: offering
 // single-rank folds in any completion order yields a report byte-identical
-// to AggregateFleet over the same outcomes.
+// to AggregateFleet over the same outcomes. The orders are five random
+// permutations plus the worst case for parking — all evens, then all odds
+// — where nothing merges until the odds arrive.
 func TestAccumulatorMatchesAggregate(t *testing.T) {
 	const ranks = 97
 	want := reportBytes(t, AggregateFleet("synth", ranks, synthOutcomes(ranks), nil))
 	rng := rand.New(rand.NewSource(42))
+	var orders [][]int
 	for trial := 0; trial < 5; trial++ {
-		acc := NewFleetAccumulator(ranks, nil, 0)
-		for _, r := range rng.Perm(ranks) {
+		orders = append(orders, rng.Perm(ranks))
+	}
+	var evensThenOdds []int
+	for start := 0; start < 2; start++ {
+		for r := start; r < ranks; r += 2 {
+			evensThenOdds = append(evensThenOdds, r)
+		}
+	}
+	orders = append(orders, evensThenOdds)
+	for trial, order := range orders {
+		acc := NewFleetAccumulator(ranks)
+		for _, r := range order {
 			if err := acc.Add(synthOutcome(r)); err != nil {
 				t.Fatal(err)
 			}
@@ -166,7 +177,7 @@ func TestAccumulatorBatchedOffers(t *testing.T) {
 			}
 			parts = append(parts, part)
 		}
-		acc := NewFleetAccumulator(ranks, nil, 0)
+		acc := NewFleetAccumulator(ranks)
 		for _, i := range rng.Perm(len(parts)) {
 			for r := 0; r < parts[i].Hi-parts[i].Lo; r++ {
 				acc.RankDone()
@@ -185,53 +196,10 @@ func TestAccumulatorBatchedOffers(t *testing.T) {
 	}
 }
 
-// TestAccumulatorSpills forces the budget low enough that parked partials
-// must spill, offers ranks in the worst order (all evens, then all odds —
-// nothing merges until the odds arrive), and asserts the report is still
-// byte-identical, the spill store was exercised, and every spill file was
-// reclaimed.
-func TestAccumulatorSpills(t *testing.T) {
-	const ranks = 32
-	want := reportBytes(t, AggregateFleet("synth", ranks, synthOutcomes(ranks), nil))
-	dir := t.TempDir()
-	spill, err := NewFileSpill(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	acc := NewFleetAccumulator(ranks, spill, 1) // 1 byte: everything parked spills
-	for r := 0; r < ranks; r += 2 {
-		if err := acc.Add(synthOutcome(r)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if p := acc.Progress(); p.Spills == 0 || p.SpilledBytes == 0 {
-		t.Fatalf("no spills under a 1-byte budget: %+v", p)
-	}
-	for r := 1; r < ranks; r += 2 {
-		if err := acc.Add(synthOutcome(r)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fr, err := acc.Finalize("synth", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := reportBytes(t, fr); !bytes.Equal(got, want) {
-		t.Fatal("spilled reduction differs from in-memory aggregate")
-	}
-	left, err := filepath.Glob(filepath.Join(dir, "*.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(left) != 0 {
-		t.Fatalf("spill files leaked after finalize: %v", left)
-	}
-}
-
 // TestAccumulatorIncompleteFinalize: a reduction with missing ranks must
 // refuse to assemble rather than return a silently truncated report.
 func TestAccumulatorIncompleteFinalize(t *testing.T) {
-	acc := NewFleetAccumulator(8, nil, 0)
+	acc := NewFleetAccumulator(8)
 	for r := 0; r < 4; r++ {
 		if err := acc.Add(synthOutcome(r)); err != nil {
 			t.Fatal(err)
@@ -240,52 +208,11 @@ func TestAccumulatorIncompleteFinalize(t *testing.T) {
 	if _, err := acc.Finalize("synth", nil); err == nil {
 		t.Fatal("finalize accepted a reduction missing ranks 4-7")
 	}
-	acc2 := NewFleetAccumulator(8, nil, 0)
+	acc2 := NewFleetAccumulator(8)
 	if err := acc2.Offer(FoldRankOutcome(synthOutcome(2))); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := acc2.Finalize("synth", nil); err == nil {
 		t.Fatal("finalize accepted a single partial not starting at rank 0")
-	}
-}
-
-// TestFileSpillRoundTrip pins the spill codec: a partial survives the
-// JSON round-trip with its merge state intact (indexes rebuild lazily).
-func TestFileSpillRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	spill, err := NewFileSpill(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	acc := NewFleetAccumulator(4, spill, 1)
-	// Park+spill [0,2), then offer [2,4) which must reload and merge it.
-	left, err := Merge(FoldRankOutcome(synthOutcome(0)), FoldRankOutcome(synthOutcome(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := acc.Offer(left); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "partial-0-2.json")); err != nil {
-		t.Fatalf("expected spilled partial on disk: %v", err)
-	}
-	right, err := Merge(FoldRankOutcome(synthOutcome(2)), FoldRankOutcome(synthOutcome(3)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	acc.RankDone()
-	acc.RankDone()
-	acc.RankDone()
-	acc.RankDone()
-	if err := acc.Offer(right); err != nil {
-		t.Fatal(err)
-	}
-	fr, err := acc.Finalize("synth", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := reportBytes(t, AggregateFleet("synth", 4, synthOutcomes(4), nil))
-	if got := reportBytes(t, fr); !bytes.Equal(got, want) {
-		t.Fatal("round-tripped reduction differs from aggregate")
 	}
 }

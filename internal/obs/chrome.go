@@ -9,16 +9,18 @@ import (
 )
 
 // ChromeEvent is one Chrome trace_event record (the "X" complete-event
-// form), loadable in Perfetto or chrome://tracing.
+// form), loadable in Perfetto or chrome://tracing. It is the one event
+// type every Chrome export shares: this package's pipeline span trace and
+// the timeline model's CPU/GPU/rank rendering.
 type ChromeEvent struct {
-	Name  string            `json:"name"`
-	Cat   string            `json:"cat"`
-	Phase string            `json:"ph"`
-	TS    float64           `json:"ts"`  // microseconds
-	Dur   float64           `json:"dur"` // microseconds
-	PID   int               `json:"pid"`
-	TID   int               `json:"tid"`
-	Args  map[string]string `json:"args,omitempty"`
+	Name  string         `json:"name"`
+	Cat   string         `json:"cat"`
+	Phase string         `json:"ph"`
+	TS    float64        `json:"ts"`  // microseconds
+	Dur   float64        `json:"dur"` // microseconds
+	PID   int            `json:"pid"`
+	TID   int            `json:"tid"`
+	Args  map[string]any `json:"args,omitempty"`
 }
 
 // ChromeFile is the top-level trace_event container.
@@ -63,7 +65,7 @@ func (t *Trace) Chrome() *ChromeFile {
 			PID: chromePID, TID: row,
 		}
 		if len(s.args) > 0 {
-			ev.Args = make(map[string]string, len(s.args))
+			ev.Args = make(map[string]any, len(s.args))
 			for k, v := range s.args {
 				ev.Args[k] = v // encoding/json sorts map keys
 			}

@@ -94,8 +94,8 @@ func TestChromeLayoutSequentialAndPinned(t *testing.T) {
 	if ev := at("demo"); ev.Dur != us(600) {
 		t.Errorf("parent dur=%g, want %g", ev.Dur, us(600))
 	}
-	if ev := at("demo"); ev.Args["records"] != "" {
-		t.Errorf("unexpected args on parent: %v", ev.Args)
+	if _, ok := at("demo").Args["records"]; ok {
+		t.Errorf("unexpected args on parent: %v", at("demo").Args)
 	}
 }
 

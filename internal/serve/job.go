@@ -307,8 +307,8 @@ type View struct {
 	CurrentSpan string `json:"currentSpan,omitempty"`
 
 	// Fleet is the streaming-reduction progress of a fleet job: ranks
-	// folded so far, partial merges, and spill activity, straight from
-	// the accumulator counters — live while the job runs, final
+	// folded so far and partial merges, straight from the accumulator
+	// counters — live while the job runs, final
 	// afterwards. Absent for other kinds and for store-served fleet jobs
 	// (no reduction ran).
 	Fleet *ffm.FleetProgress `json:"fleet,omitempty"`

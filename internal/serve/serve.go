@@ -83,10 +83,6 @@ type Options struct {
 	// RetainJobs bounds how many finished job records the manager keeps
 	// for status queries; 0 selects 1024. Live jobs are never dropped.
 	RetainJobs int
-	// FleetSpillBudget caps the estimated resident bytes of each fleet
-	// job's parked reduction partials; beyond it sealed partials spill to
-	// a per-job temp directory. 0 never spills.
-	FleetSpillBudget int64
 	// Cluster, when non-nil, makes this instance one node of a shard
 	// group: content-addressed submissions route to their consistent-hash
 	// owner (executed locally when this node owns the key or the owner is
@@ -425,8 +421,7 @@ func (s *Server) engineFor(req *Request, o *obs.Observer) *experiments.Engine {
 	if req.Fresh {
 		cache = nil
 	}
-	e := &experiments.Engine{Workers: w, Cache: cache, Obs: o,
-		FleetSpillBudget: s.opts.FleetSpillBudget}
+	e := &experiments.Engine{Workers: w, Cache: cache, Obs: o}
 	if w > 1 {
 		e.StageWorkers = 2
 	}

@@ -233,30 +233,24 @@ func TestModelFleetGolden(t *testing.T) {
 	checkGolden(t, "model_fleet.golden.json", modelJSON(t, m))
 }
 
-// TestChromeFromModelMatchesBuild pins the refactor seam: the legacy
-// Build() entry point and the model's Chrome renderer are the same bytes,
-// and the report-derived model (which adds overlays) renders the identical
-// trace — overlays must never leak into the Chrome export.
-func TestChromeFromModelMatchesBuild(t *testing.T) {
+// TestChromeFromReportMatchesTrace pins the export seam: the
+// report-derived model (which adds overlays) renders the identical Chrome
+// trace to the trace-derived one — overlays must never leak into the
+// Chrome export.
+func TestChromeFromReportMatchesTrace(t *testing.T) {
 	eng := experiments.NewEngine(1)
 	rep, err := eng.RunApp("cuibm", modelScale)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var legacy, viaModel, viaReport bytes.Buffer
-	if err := timeline.Build(rep.Trace, rep.DeviceOps).Write(&legacy); err != nil {
-		t.Fatal(err)
-	}
-	if err := timeline.FromTrace(rep.Trace, rep.DeviceOps).Chrome().Write(&viaModel); err != nil {
+	var viaTrace, viaReport bytes.Buffer
+	if err := timeline.FromTrace(rep.Trace, rep.DeviceOps).Chrome().Write(&viaTrace); err != nil {
 		t.Fatal(err)
 	}
 	if err := timeline.FromReport("run", rep).Chrome().Write(&viaReport); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(legacy.Bytes(), viaModel.Bytes()) {
-		t.Fatal("FromTrace().Chrome() diverged from Build()")
-	}
-	if !bytes.Equal(legacy.Bytes(), viaReport.Bytes()) {
-		t.Fatal("FromReport().Chrome() diverged from Build() — overlays leaked into the Chrome export")
+	if !bytes.Equal(viaTrace.Bytes(), viaReport.Bytes()) {
+		t.Fatal("FromReport().Chrome() diverged from FromTrace().Chrome() — overlays leaked into the Chrome export")
 	}
 }

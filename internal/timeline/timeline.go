@@ -2,41 +2,20 @@
 // built once from a pipeline's artifacts — annotated trace, device
 // operation log, §5.3 stage ledgers, and for fleet launches the per-rank
 // outcomes and barrier-skew ledger — plus its renderers: a Chrome
-// trace-event exporter (the chrome://tracing / Perfetto JSON format), the
-// text report's timing sections, and the served web view all consume the
-// same Model. The paper stores Diogenes data in JSON "allowing other tools
-// the ability to access data collected by Diogenes" (§4); one shared
+// trace-event exporter (the chrome://tracing / Perfetto JSON format, in
+// the obs package's shared event and file types), the text report's
+// timing sections, and the served web view all consume the same Model.
+// The paper stores Diogenes data in JSON "allowing other tools the
+// ability to access data collected by Diogenes" (§4); one shared
 // in-memory shape is what keeps the renderers telling the same story.
 package timeline
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
 	"strconv"
 
-	"diogenes/internal/gpu"
+	"diogenes/internal/obs"
 	"diogenes/internal/simtime"
-	"diogenes/internal/trace"
 )
-
-// ChromeEvent is one Chrome trace event (the "X" complete-event form).
-type ChromeEvent struct {
-	Name  string         `json:"name"`
-	Cat   string         `json:"cat"`
-	Phase string         `json:"ph"`
-	TS    float64        `json:"ts"`  // microseconds
-	Dur   float64        `json:"dur"` // microseconds
-	PID   int            `json:"pid"`
-	TID   int            `json:"tid"`
-	Args  map[string]any `json:"args,omitempty"`
-}
-
-// File is the top-level trace-event container.
-type File struct {
-	TraceEvents []ChromeEvent     `json:"traceEvents"`
-	Metadata    map[string]string `json:"otherData,omitempty"`
-}
 
 const (
 	pidProcess = 1
@@ -48,21 +27,14 @@ const (
 func us(t simtime.Time) float64        { return float64(t) / float64(simtime.Microsecond) }
 func usDur(d simtime.Duration) float64 { return float64(d) / float64(simtime.Microsecond) }
 
-// Build assembles a Chrome trace file from an annotated run (CPU rows) and
-// the device operation log (GPU rows). Either may be nil. It is the
-// model-then-render composition kept for existing callers.
-func Build(run *trace.Run, ops []*gpu.Op) *File {
-	return FromTrace(run, ops).Chrome()
-}
-
 // Chrome renders the model as a Chrome trace-event file: one row for the
 // CPU thread's driver calls — wait portions emitted as nested "wait"
 // slices — one row per GPU stream, and for fleet models one row per rank.
 // The event layout is a pure function of the model, so byte-determinism of
 // the model carries over to the export. The file's otherData identifies
 // the capture: app, family/seed, ranks, and tool version when stamped.
-func (m *Model) Chrome() *File {
-	f := &File{Metadata: map[string]string{
+func (m *Model) Chrome() *obs.ChromeFile {
+	f := &obs.ChromeFile{Metadata: map[string]string{
 		"tool":   "diogenes",
 		"format": "chrome-trace-events",
 	}}
@@ -101,7 +73,7 @@ func (m *Model) Chrome() *File {
 			if e.Protected {
 				args["firstUse_us"] = usDur(e.FirstUse)
 			}
-			f.TraceEvents = append(f.TraceEvents, ChromeEvent{
+			f.TraceEvents = append(f.TraceEvents, obs.ChromeEvent{
 				Name: e.Name, Cat: e.Cat, Phase: "X",
 				TS: us(e.Start), Dur: usDur(e.Dur),
 				PID: pidProcess, TID: lane.Row, Args: args,
@@ -110,7 +82,7 @@ func (m *Model) Chrome() *File {
 				// Render the wait portion as a nested slice at the end of
 				// the call, where the block happens.
 				waitStart := e.Start.Add(e.Dur - e.Wait)
-				f.TraceEvents = append(f.TraceEvents, ChromeEvent{
+				f.TraceEvents = append(f.TraceEvents, obs.ChromeEvent{
 					Name: "wait", Cat: "sync", Phase: "X",
 					TS: us(waitStart), Dur: usDur(e.Wait),
 					PID: pidProcess, TID: lane.Row,
@@ -122,14 +94,14 @@ func (m *Model) Chrome() *File {
 			// markers; the subtraction reproduces the historical float
 			// rounding exactly.
 			end := e.Start.Add(e.Dur)
-			f.TraceEvents = append(f.TraceEvents, ChromeEvent{
+			f.TraceEvents = append(f.TraceEvents, obs.ChromeEvent{
 				Name: e.Name, Cat: e.Cat, Phase: "X",
 				TS: us(e.Start), Dur: us(end) - us(e.Start),
 				PID: pidProcess, TID: lane.Row,
 				Args: map[string]any{"bytes": e.Bytes, "stream": e.Stream},
 			})
 		default: // rank and barrier lanes: plain slices, no args
-			f.TraceEvents = append(f.TraceEvents, ChromeEvent{
+			f.TraceEvents = append(f.TraceEvents, obs.ChromeEvent{
 				Name: e.Name, Cat: e.Cat, Phase: "X",
 				TS: us(e.Start), Dur: usDur(e.Dur),
 				PID: pidProcess, TID: lane.Row,
@@ -137,43 +109,4 @@ func (m *Model) Chrome() *File {
 		}
 	}
 	return f
-}
-
-// Write serializes the file as JSON.
-func (f *File) Write(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(f)
-}
-
-// Read parses a trace file written by Write.
-func Read(r io.Reader) (*File, error) {
-	var f File
-	if err := json.NewDecoder(r).Decode(&f); err != nil {
-		return nil, fmt.Errorf("timeline: decoding: %w", err)
-	}
-	return &f, nil
-}
-
-// Span returns the time range covered by the events, in microseconds.
-func (f *File) Span() (start, end float64) {
-	first := true
-	for _, e := range f.TraceEvents {
-		if first || e.TS < start {
-			start = e.TS
-		}
-		if first || e.TS+e.Dur > end {
-			end = e.TS + e.Dur
-		}
-		first = false
-	}
-	return start, end
-}
-
-// RowCount returns the number of distinct rows (tids) in the file.
-func (f *File) RowCount() int {
-	rows := map[int]bool{}
-	for _, e := range f.TraceEvents {
-		rows[e.TID] = true
-	}
-	return len(rows)
 }

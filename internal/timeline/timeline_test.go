@@ -6,9 +6,37 @@ import (
 	"testing"
 
 	"diogenes/internal/gpu"
+	"diogenes/internal/obs"
 	"diogenes/internal/simtime"
 	"diogenes/internal/trace"
 )
+
+// chrome renders an annotated run and device log through the model.
+func chrome(run *trace.Run, ops []*gpu.Op) *obs.ChromeFile {
+	return FromTrace(run, ops).Chrome()
+}
+
+// rowCount returns the number of distinct rows (tids) in the file.
+func rowCount(f *obs.ChromeFile) int {
+	rows := map[int]bool{}
+	for _, e := range f.TraceEvents {
+		rows[e.TID] = true
+	}
+	return len(rows)
+}
+
+// span returns the time range covered by the events, in microseconds.
+func span(f *obs.ChromeFile) (start, end float64) {
+	for i, e := range f.TraceEvents {
+		if i == 0 || e.TS < start {
+			start = e.TS
+		}
+		if i == 0 || e.TS+e.Dur > end {
+			end = e.TS + e.Dur
+		}
+	}
+	return start, end
+}
 
 func sample() (*trace.Run, []*gpu.Op) {
 	run := &trace.Run{
@@ -37,15 +65,15 @@ func sample() (*trace.Run, []*gpu.Op) {
 
 func TestBuildRows(t *testing.T) {
 	run, ops := sample()
-	f := Build(run, ops)
+	f := chrome(run, ops)
 	// CPU call events (2) + wait slice (1) + GPU ops (2).
 	if len(f.TraceEvents) != 5 {
 		t.Fatalf("events = %d, want 5", len(f.TraceEvents))
 	}
-	if f.RowCount() != 3 { // CPU + stream 0 + stream 2
-		t.Fatalf("rows = %d, want 3", f.RowCount())
+	if rowCount(f) != 3 { // CPU + stream 0 + stream 2
+		t.Fatalf("rows = %d, want 3", rowCount(f))
 	}
-	start, end := f.Span()
+	start, end := span(f)
 	if start != 50 || end != 700 {
 		t.Fatalf("span = [%v, %v], want [50, 700]", start, end)
 	}
@@ -53,8 +81,8 @@ func TestBuildRows(t *testing.T) {
 
 func TestWaitSlicePlacement(t *testing.T) {
 	run, _ := sample()
-	f := Build(run, nil)
-	var wait *ChromeEvent
+	f := chrome(run, nil)
+	var wait *obs.ChromeEvent
 	for i := range f.TraceEvents {
 		if f.TraceEvents[i].Name == "wait" {
 			wait = &f.TraceEvents[i]
@@ -74,7 +102,7 @@ func TestWaitSlicePlacement(t *testing.T) {
 
 func TestAnnotationsCarried(t *testing.T) {
 	run, _ := sample()
-	f := Build(run, nil)
+	f := chrome(run, nil)
 	found := false
 	for _, e := range f.TraceEvents {
 		if e.Name == "cudaMemcpy" {
@@ -94,7 +122,7 @@ func TestInfiniteKernelRendersAsMarker(t *testing.T) {
 		Kind: gpu.OpKernel, Name: "spin", Stream: 0,
 		Start: simtime.Time(10 * simtime.Microsecond), End: simtime.Infinity,
 	}}
-	f := Build(nil, ops)
+	f := chrome(nil, ops)
 	if len(f.TraceEvents) != 1 || f.TraceEvents[0].Dur != 0 {
 		t.Fatalf("infinite kernel = %+v", f.TraceEvents)
 	}
@@ -102,7 +130,7 @@ func TestInfiniteKernelRendersAsMarker(t *testing.T) {
 
 func TestRoundTrip(t *testing.T) {
 	run, ops := sample()
-	f := Build(run, ops)
+	f := chrome(run, ops)
 	var buf bytes.Buffer
 	if err := f.Write(&buf); err != nil {
 		t.Fatal(err)
@@ -110,7 +138,7 @@ func TestRoundTrip(t *testing.T) {
 	if !strings.Contains(buf.String(), `"traceEvents"`) {
 		t.Fatal("missing traceEvents key")
 	}
-	got, err := Read(&buf)
+	got, err := obs.ReadChrome(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,17 +151,17 @@ func TestRoundTrip(t *testing.T) {
 }
 
 func TestReadGarbage(t *testing.T) {
-	if _, err := Read(strings.NewReader("{")); err == nil {
+	if _, err := obs.ReadChrome(strings.NewReader("{")); err == nil {
 		t.Fatal("garbage accepted")
 	}
 }
 
 func TestEmptyFile(t *testing.T) {
-	f := Build(nil, nil)
-	if f.RowCount() != 0 {
+	f := chrome(nil, nil)
+	if rowCount(f) != 0 {
 		t.Fatal("empty build has rows")
 	}
-	s, e := f.Span()
+	s, e := span(f)
 	if s != 0 || e != 0 {
 		t.Fatal("empty span nonzero")
 	}
