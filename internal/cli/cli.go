@@ -276,16 +276,11 @@ commands:
                             negative disables the timer)
       -timeout d            default per-job execution cap
       -drain d              graceful-shutdown drain budget (default 30s)
-      -peers a,b,c          shard-group peer list; this instance becomes one
-                            node of a consistent-hash group (submissions
-                            forward to their key's owner, job lookups proxy
-                            to the node that created them)
-      -self host:port       this node's advertised address within -peers
-                            (defaults to -addr)
-  loadgen [flags]           drive a serve node or shard group with a mixed
-                            workload; emits a per-cohort latency/throughput
-                            matrix with validity gates (429s count as
-                            backpressure, transport failures invalidate)
+  loadgen [flags]           drive serve nodes with a mixed workload; emits a
+                            per-cohort latency/throughput matrix with
+                            validity gates (queues drain between cohorts,
+                            429s count as backpressure and honour
+                            Retry-After, transport failures invalidate)
       -targets a,b,c        serve base URLs (default http://127.0.0.1:8377)
       -clients n            concurrent client loops (default 4)
       -cohorts n            measurement cohorts (default 5; gated claims

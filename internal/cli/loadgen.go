@@ -7,20 +7,22 @@ import (
 	"math/rand"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
 )
 
-// Loadgen drives a serve node or shard group with a mixed
-// interactive/batch workload and reports a per-cohort latency and
-// throughput matrix. The methodology follows the repo's benchmarking
-// policy: runs execute in fixed-duration cohorts, each cohort passes a
-// validity gate before it may be aggregated, and final (gated) claims
-// require at least minValidCohorts valid cohorts. Backpressure (HTTP
-// 429) is a counted outcome, not an error — a bounded queue turning
-// work away is the serve layer working as designed; transport failures
-// and 5xx responses are what invalidate a cohort.
+// Loadgen drives one or more serve nodes with a mixed interactive/batch
+// workload and reports a per-cohort latency and throughput matrix. The
+// methodology follows the repo's benchmarking policy: runs execute in
+// fixed-duration cohorts, each cohort starts against drained queues and
+// passes a validity gate before it may be aggregated, and final (gated)
+// claims require at least minValidCohorts valid cohorts. Backpressure
+// (HTTP 429) is a counted outcome, not an error — a bounded queue
+// turning work away is the serve layer working as designed, and the
+// client honours its Retry-After hint; transport failures and 5xx
+// responses are what invalidate a cohort.
 func Loadgen(w io.Writer, args []string) error {
 	fs := newFlagSet("loadgen")
 	targets := fs.String("targets", "http://127.0.0.1:8377", "comma-separated serve base URLs (or host:port)")
@@ -88,8 +90,8 @@ func Loadgen(w io.Writer, args []string) error {
 // claim the gated loadgen makes (the N>=5 rule).
 const minValidCohorts = 5
 
-// loadApps are the interactive submission targets, cycled per request
-// so the group's consistent-hash placement spreads keys across nodes.
+// loadApps are the interactive submission targets, drawn per request
+// from each client's seeded stream.
 var loadApps = []string{"rodinia_gaussian", "amg", "cuibm", "cumf_als"}
 
 // loadOutcome classifies one submission.
@@ -103,12 +105,12 @@ const (
 
 // classStats aggregates one admission class within one cohort.
 type classStats struct {
-	Accepted    int       `json:"accepted"`
-	Backpressed int       `json:"backpressed"`
-	Invalid     int       `json:"invalid"`
-	P50Micros   int64     `json:"p50Micros"`
-	P90Micros   int64     `json:"p90Micros"`
-	P99Micros   int64     `json:"p99Micros"`
+	Accepted    int     `json:"accepted"`
+	Backpressed int     `json:"backpressed"`
+	Invalid     int     `json:"invalid"`
+	P50Micros   int64   `json:"p50Micros"`
+	P90Micros   int64   `json:"p90Micros"`
+	P99Micros   int64   `json:"p99Micros"`
 	latencies   []int64 // accepted-submission latencies, µs
 }
 
@@ -155,6 +157,10 @@ func runLoad(urls []string, clients, cohorts int, dur time.Duration, mix, scale 
 	client := &http.Client{Timeout: 30 * time.Second}
 	report := &LoadReport{Targets: urls, Clients: clients, Mix: mix}
 	for c := 0; c < cohorts; c++ {
+		if !drain(client, urls, drainBound) {
+			report.Cohorts = append(report.Cohorts, CohortReport{Index: c, Seconds: dur.Seconds(), Reason: reasonDrainTimeout})
+			continue
+		}
 		report.Cohorts = append(report.Cohorts, runCohort(client, urls, clients, c, dur, mix, scale, seed))
 	}
 	var lat []int64
@@ -175,6 +181,60 @@ func runLoad(urls []string, clients, cohorts int, dur time.Duration, mix, scale 
 		report.AggP99Micros = percentile(lat, 99)
 	}
 	return report
+}
+
+// drainBound caps the wait for the targets' queues to empty before a
+// cohort. Past it the cohort is not run: it is excluded as an infra
+// flake rather than measured against the previous cohort's backlog.
+const drainBound = 30 * time.Second
+
+// drainPoll is the /healthz polling interval while draining.
+const drainPoll = 10 * time.Millisecond
+
+// reasonDrainTimeout marks a cohort excluded because the drain before it
+// timed out. INFRA_FLAKE cohorts say nothing about the target's
+// behaviour and must be rerun, not counted as a bad result.
+const reasonDrainTimeout = "INFRA_FLAKE: drain timeout"
+
+// drain polls every target's /healthz until its queueDepth is 0, so a
+// cohort's batch backlog cannot starve the next cohort. It reports false
+// when bound passes first. A target whose /healthz cannot be read does
+// not hold the drain: the cohort's own submissions then record the
+// failure.
+func drain(client *http.Client, urls []string, bound time.Duration) bool {
+	deadline := time.Now().Add(bound)
+	for _, target := range urls {
+		for {
+			depth, err := queueDepth(client, target)
+			if err != nil || depth == 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				return false
+			}
+			time.Sleep(drainPoll)
+		}
+	}
+	return true
+}
+
+// queueDepth reads a target's backlog from its /healthz.
+func queueDepth(client *http.Client, target string) (int, error) {
+	resp, err := client.Get(target + "/healthz")
+	if err != nil {
+		return 0, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return 0, fmt.Errorf("%s/healthz: %s", target, resp.Status)
+	}
+	var h struct {
+		QueueDepth int `json:"queueDepth"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+		return 0, err
+	}
+	return h.QueueDepth, nil
 }
 
 // runCohort runs one fixed-duration window with the full client set.
@@ -199,7 +259,7 @@ func runCohort(client *http.Client, urls []string, clients, index int, dur time.
 				} else {
 					body = fmt.Sprintf(`{"kind":"fleet","app":"amg","ranks":2,"scale":%g}`, scale)
 				}
-				outcome, micros := submitOnce(client, target, body)
+				outcome, micros, retryAfter := submitOnce(client, target, body)
 				stats := &co.Batch
 				if interactive {
 					stats = &co.Interactive
@@ -215,6 +275,11 @@ func runCohort(client *http.Client, urls []string, clients, index int, dur time.
 					stats.Invalid++
 				}
 				mu.Unlock()
+				if outcome == outcomeBackpressed {
+					// Back off as the server asked, but never past the
+					// end of the cohort.
+					time.Sleep(min(retryAfter, time.Until(deadline)))
+				}
 			}
 		}(cl)
 	}
@@ -241,23 +306,28 @@ func runCohort(client *http.Client, urls []string, clients, index int, dur time.
 
 // submitOnce posts one job and classifies the outcome. Latency is the
 // submission round trip — what a client waits before it holds a job ID
-// (or a store-served result).
-func submitOnce(client *http.Client, target, body string) (loadOutcome, int64) {
+// (or a store-served result). On a 429 it also returns the server's
+// Retry-After hint; a missing or unusable hint reads as one second.
+func submitOnce(client *http.Client, target, body string) (loadOutcome, int64, time.Duration) {
 	start := time.Now()
 	resp, err := client.Post(target+"/jobs", "application/json", strings.NewReader(body))
 	micros := time.Since(start).Microseconds()
 	if err != nil {
-		return outcomeInvalid, micros
+		return outcomeInvalid, micros, 0
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	switch {
 	case resp.StatusCode == http.StatusTooManyRequests:
-		return outcomeBackpressed, micros
+		secs, err := strconv.Atoi(resp.Header.Get("Retry-After"))
+		if err != nil || secs < 1 {
+			secs = 1
+		}
+		return outcomeBackpressed, micros, time.Duration(secs) * time.Second
 	case resp.StatusCode >= 200 && resp.StatusCode < 300:
-		return outcomeAccepted, micros
+		return outcomeAccepted, micros, 0
 	default:
-		return outcomeInvalid, micros
+		return outcomeInvalid, micros, 0
 	}
 }
 

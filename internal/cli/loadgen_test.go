@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"diogenes/internal/serve"
 )
@@ -81,6 +84,80 @@ func TestLoadgenGateFailsOnDeadTarget(t *testing.T) {
 	var ec *ExitCodeError
 	if !errors.As(err, &ec) || ec.Code != 3 {
 		t.Fatalf("gate failure error %v, want ExitCodeError code 3", err)
+	}
+}
+
+// TestLoadgenHonoursRetryAfter: a client that gets a 429 with
+// Retry-After: 1 backs off instead of resubmitting at once, so inside a
+// 300ms cohort each client submits at most once.
+func TestLoadgenHonoursRetryAfter(t *testing.T) {
+	var posts atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
+		w.Write([]byte(`{"queueDepth":0}`))
+	})
+	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, _ *http.Request) {
+		posts.Add(1)
+		w.Header().Set("Retry-After", "1")
+		w.WriteHeader(http.StatusTooManyRequests)
+	})
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	const clients = 3
+	start := time.Now()
+	rep := runLoad([]string{ts.URL}, clients, 1, 300*time.Millisecond, 0.8, 0.05, 1)
+	if elapsed := time.Since(start); elapsed > 900*time.Millisecond {
+		t.Fatalf("cohort took %v: the Retry-After sleep was not capped at the cohort's end", elapsed)
+	}
+	if n := posts.Load(); n > clients {
+		t.Fatalf("%d submissions from %d clients in one 300ms cohort, want at most one each", n, clients)
+	}
+	co := rep.Cohorts[0]
+	if got := co.Interactive.Backpressed + co.Batch.Backpressed; int64(got) != posts.Load() {
+		t.Fatalf("recorded %d backpressed outcomes, stub answered %d", got, posts.Load())
+	}
+	if co.Valid {
+		t.Fatalf("cohort with no accepted submissions marked valid: %+v", co)
+	}
+}
+
+// TestLoadgenDrainsBetweenCohorts: no submission goes out while a
+// target's /healthz still reports a backlog, and a backlog that outlives
+// the drain bound is reported as a timeout.
+func TestLoadgenDrainsBetweenCohorts(t *testing.T) {
+	var polls, early atomic.Int64
+	var stuck atomic.Bool
+	const busyPolls = 3
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
+		depth := 0
+		if polls.Add(1) <= busyPolls || stuck.Load() {
+			depth = 5
+		}
+		json.NewEncoder(w).Encode(map[string]int{"queueDepth": depth})
+	})
+	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, _ *http.Request) {
+		if polls.Load() <= busyPolls {
+			early.Add(1)
+		}
+		w.WriteHeader(http.StatusAccepted)
+		w.Write([]byte(`{}`))
+	})
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	rep := runLoad([]string{ts.URL}, 1, 1, 30*time.Millisecond, 1, 0.05, 1)
+	if early.Load() != 0 {
+		t.Fatalf("%d submissions went out before the backlog drained", early.Load())
+	}
+	if !rep.Cohorts[0].Valid {
+		t.Fatalf("cohort after a completed drain is invalid: %+v", rep.Cohorts[0])
+	}
+
+	stuck.Store(true)
+	if drain(http.DefaultClient, []string{ts.URL}, 50*time.Millisecond) {
+		t.Fatal("drain reported success against a backlog that never emptied")
 	}
 }
 

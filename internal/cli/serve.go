@@ -9,12 +9,10 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"diogenes/internal/serve"
-	"diogenes/internal/serve/cluster"
 )
 
 // Serve runs the analysis pipeline as a long-lived HTTP daemon (see
@@ -41,31 +39,13 @@ func serveWithContext(ctx context.Context, w io.Writer, args []string) error {
 	cacheBudget := fs.Int64("cache-budget", 0, "in-memory report cache byte budget (0 = unbounded)")
 	timeout := fs.Duration("timeout", 0, "default per-job execution cap (0 = none)")
 	drain := fs.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")
-	peers := fs.String("peers", "", "comma-separated shard-group peer list (host:port,...); empty = single-node")
-	self := fs.String("self", "", "this node's advertised address within -peers (defaults to -addr)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() > 0 {
 		return fmt.Errorf("serve: unexpected argument %q", fs.Arg(0))
 	}
-	var group *cluster.Cluster
-	if *peers != "" {
-		selfAddr := *self
-		if selfAddr == "" {
-			selfAddr = *addr
-		}
-		var err error
-		group, err = cluster.New(selfAddr, strings.Split(*peers, ","))
-		if err != nil {
-			return err
-		}
-	} else if *self != "" {
-		return fmt.Errorf("serve: -self needs -peers (single-node mode has no shard group)")
-	}
-
 	srv, err := serve.New(serve.Options{
-		Cluster:        group,
 		Workers:        *workers,
 		QueueCapacity:  *queueCap,
 		EngineWorkers:  *engineWorkers,
@@ -94,9 +74,6 @@ func serveWithContext(ctx context.Context, w io.Writer, args []string) error {
 	fmt.Fprintf(w, "diogenes serve listening on http://%s (queue %d", bound, *queueCap)
 	if *storeDir != "" {
 		fmt.Fprintf(w, ", store %s", *storeDir)
-	}
-	if group != nil {
-		fmt.Fprintf(w, ", node %s of %d", group.SelfName(), len(group.Peers()))
 	}
 	fmt.Fprintln(w, ")")
 

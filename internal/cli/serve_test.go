@@ -125,6 +125,14 @@ func TestServeRejectsBadFlags(t *testing.T) {
 	if err := serveWithContext(context.Background(), &strings.Builder{}, []string{"-addr", "not-an-address"}); err == nil {
 		t.Fatal("unlistenable address accepted")
 	}
+	// serve is single-node: the shard-group flags are unknown, not
+	// silently ignored.
+	for _, args := range [][]string{{"-peers", "a,b"}, {"-self", "x"}} {
+		err := serveWithContext(context.Background(), &strings.Builder{}, args)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Fatalf("serve %v: err %v, want an unknown-flag error", args, err)
+		}
+	}
 }
 
 func TestVersionCommandAndFlag(t *testing.T) {
@@ -165,6 +173,11 @@ func TestUsageMentionsServeAndVersion(t *testing.T) {
 	for _, want := range []string{"serve [flags]", "version", "-queue n"} {
 		if !strings.Contains(errOut, want) {
 			t.Errorf("usage missing %q", want)
+		}
+	}
+	for _, gone := range []string{"-peers", "-self", "shard group"} {
+		if strings.Contains(errOut, gone) {
+			t.Errorf("usage still mentions %q", gone)
 		}
 	}
 }

@@ -32,9 +32,6 @@ import (
 // push path, not a second source of truth.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if s.routeJobID(w, r, id) {
-		return
-	}
 	j := s.Job(id)
 	if j == nil {
 		writeJSON(w, http.StatusNotFound, errorBody{Error: fmt.Sprintf("no job %q", id)})

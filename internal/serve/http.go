@@ -1,11 +1,9 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -35,12 +33,6 @@ const maxRequestBody = 1 << 20
 //	GET    /metrics                 the server's obs registry (?format=prom
 //	                                or a text/plain Accept selects Prometheus
 //	                                text exposition)
-//
-// In cluster mode every route answers on every node: submissions forward
-// to the key's ring owner, job lookups (status, events, report,
-// timeline, cancel) proxy to the node named in the job ID, and a
-// one-hop guard plus local-execution degradation keep the group serving
-// through peer failures.
 func (s *Server) buildMux() {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /jobs", s.handleSubmit)
@@ -54,20 +46,6 @@ func (s *Server) buildMux() {
 	mux.HandleFunc("GET /ledger/root", s.handleLedgerRoot)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.Handle("GET /metrics", s.obs.Metrics().Handler())
-	if s.cluster != nil {
-		// Stamp every response with the answering node so clients and
-		// tests can see routing; proxied responses keep the origin
-		// node's stamp (Set before the inner handler may overwrite it).
-		name := s.cluster.SelfName()
-		inner := mux
-		wrapped := http.NewServeMux()
-		wrapped.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set(nodeHeader, name)
-			inner.ServeHTTP(w, r)
-		})
-		s.mux = wrapped
-		return
-	}
 	s.mux = mux
 }
 
@@ -125,20 +103,12 @@ func retryAfterHint(depth, workers int, meanNanos int64, fallback time.Duration)
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBody))
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
-		return
-	}
 	var req Request
-	dec := json.NewDecoder(bytes.NewReader(body))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
 		return
-	}
-	if s.routeSubmit(w, r, req, body) {
-		return // answered by the key's ring owner
 	}
 	j, err := s.Submit(req)
 	switch {
@@ -178,9 +148,6 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if s.routeJobID(w, r, id) {
-		return
-	}
 	j := s.Job(id)
 	if j == nil {
 		writeJSON(w, http.StatusNotFound, errorBody{Error: fmt.Sprintf("no job %q", id)})
@@ -191,9 +158,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if s.routeJobID(w, r, id) {
-		return
-	}
 	// Cancel returns the job handle; rendering that handle (instead of
 	// looking the ID up again) is what makes this safe against
 	// concurrent retention shedding — the regression was a nil deref
@@ -212,9 +176,6 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if s.routeJobID(w, r, id) {
-		return
-	}
 	j := s.Job(id)
 	if j == nil {
 		writeJSON(w, http.StatusNotFound, errorBody{Error: fmt.Sprintf("no job %q", id)})
@@ -328,13 +289,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		// watches provenance: a growing "unsealed" depth means appends are
 		// outrunning seals (or the flush timer is misconfigured).
 		resp["ledger"] = s.ledger.Head()
-	}
-	if s.cluster != nil {
-		resp["cluster"] = map[string]any{
-			"self":  s.cluster.Self(),
-			"node":  s.cluster.SelfName(),
-			"peers": s.cluster.Peers(),
-		}
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -362,14 +362,13 @@ func (j *Job) View() View {
 type manager struct {
 	mu     sync.Mutex
 	seq    int
-	prefix string // node qualifier in cluster mode ("n2-"), "" single-node
 	jobs   map[string]*Job
 	order  []string // registration order
 	retain int
 }
 
-func newManager(retain int, prefix string) *manager {
-	return &manager{jobs: make(map[string]*Job), retain: retain, prefix: prefix}
+func newManager(retain int) *manager {
+	return &manager{jobs: make(map[string]*Job), retain: retain}
 }
 
 // add registers the job, assigns its ID, and sheds the oldest finished
@@ -378,7 +377,7 @@ func (m *manager) add(j *Job) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.seq++
-	j.ID = fmt.Sprintf("%sj%d", m.prefix, m.seq)
+	j.ID = fmt.Sprintf("j%d", m.seq)
 	m.jobs[j.ID] = j
 	m.order = append(m.order, j.ID)
 	if len(m.jobs) <= m.retain {

@@ -34,7 +34,6 @@ import (
 	"diogenes/internal/ledger"
 	"diogenes/internal/obs"
 	"diogenes/internal/sched"
-	"diogenes/internal/serve/cluster"
 )
 
 // ledgerName is the provenance ledger's file inside the store directory.
@@ -83,14 +82,6 @@ type Options struct {
 	// RetainJobs bounds how many finished job records the manager keeps
 	// for status queries; 0 selects 1024. Live jobs are never dropped.
 	RetainJobs int
-	// Cluster, when non-nil, makes this instance one node of a shard
-	// group: content-addressed submissions route to their consistent-hash
-	// owner (executed locally when this node owns the key or the owner is
-	// unreachable, forwarded otherwise), job IDs carry this node's name,
-	// and job lookups for other nodes' IDs proxy to the node that created
-	// them. Nil is single-node mode, byte-identical to a server that has
-	// never heard of clustering.
-	Cluster *cluster.Cluster
 	// EventSnapshot is the cadence at which GET /jobs/{id}/events emits
 	// progress frames while a job runs (on top of change-driven frames
 	// from the span trace); 0 selects 250ms.
@@ -129,13 +120,6 @@ type Server struct {
 	jobs   *manager
 	mux    *http.ServeMux
 
-	// cluster is the shard-group view (nil single-node); proxyClient
-	// carries forwarded submissions and proxied lookups between nodes.
-	// It deliberately has no overall timeout — SSE proxying streams for a
-	// job's whole lifetime — only connect and response-header bounds.
-	cluster     *cluster.Cluster
-	proxyClient *http.Client
-
 	accepting atomic.Bool
 
 	// Completed-execution wall time, feeding the Retry-After hint: the
@@ -150,9 +134,6 @@ type Server struct {
 	mFailed      *obs.Counter
 	mCanceled    *obs.Counter
 	mStorePutErr *obs.Counter
-	mForwarded   *obs.Counter
-	mProxied     *obs.Counter
-	mDegraded    *obs.Counter
 
 	// hookRunning, when non-nil, is called as each job enters the running
 	// state — a test seam for holding jobs in flight deterministically.
@@ -187,17 +168,12 @@ func New(opts Options) (*Server, error) {
 	if opts.EventHeartbeat <= 0 {
 		opts.EventHeartbeat = 15 * time.Second
 	}
-	idPrefix := ""
-	if opts.Cluster != nil {
-		idPrefix = opts.Cluster.SelfName() + "-"
-	}
 	o := obs.New("diogenes-serve")
 	s := &Server{
-		opts:    opts,
-		obs:     o,
-		cache:   experiments.NewReportCache(),
-		jobs:    newManager(opts.RetainJobs, idPrefix),
-		cluster: opts.Cluster,
+		opts:  opts,
+		obs:   o,
+		cache: experiments.NewReportCache(),
+		jobs:  newManager(opts.RetainJobs),
 
 		mSubmitted:   o.Metrics().Counter("serve/jobs_submitted"),
 		mRejected:    o.Metrics().Counter("serve/jobs_rejected"),
@@ -205,14 +181,8 @@ func New(opts Options) (*Server, error) {
 		mFailed:      o.Metrics().Counter("serve/jobs_failed"),
 		mCanceled:    o.Metrics().Counter("serve/jobs_canceled"),
 		mStorePutErr: o.Metrics().Counter("serve/store_put_errors"),
-		mForwarded:   o.Metrics().Counter("serve/cluster_forwarded"),
-		mProxied:     o.Metrics().Counter("serve/cluster_proxied"),
-		mDegraded:    o.Metrics().Counter("serve/cluster_degraded"),
 	}
 	s.retryAfterFn = s.retryAfterSeconds
-	if s.cluster != nil {
-		s.proxyClient = newProxyClient()
-	}
 	s.cache.SetMetrics(o.Metrics())
 	if opts.CacheBudget > 0 {
 		s.cache.SetByteBudget(opts.CacheBudget)

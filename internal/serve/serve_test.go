@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -481,5 +482,50 @@ func TestProgressVisibleWhileRunning(t *testing.T) {
 	}
 	if final.SpansTotal == 0 || final.SpansEnded == 0 {
 		t.Fatalf("no span progress recorded: %+v", final)
+	}
+}
+
+// TestSingleNodeJobIDsUnqualified pins the single-node contract over
+// HTTP: job IDs keep the plain j<seq> form, a submission response
+// carries no X-Diogenes- routing header, and /healthz reports exactly
+// the single-node key set.
+func TestSingleNodeJobIDsUnqualified(t *testing.T) {
+	s, err := New(Options{Workers: 1, QueueCapacity: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown(testCtx(t))
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	code, v, resp, raw := postJob(t, ts, `{"kind":"run","app":"rodinia_gaussian","scale":0.05}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit status %d: %s", code, raw)
+	}
+	if v.ID != "j1" {
+		t.Fatalf("single-node job ID %q, want j1", v.ID)
+	}
+	for name := range resp.Header {
+		if strings.HasPrefix(name, "X-Diogenes-") {
+			t.Errorf("submission response carries %s", name)
+		}
+	}
+
+	hr, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hr.Body.Close()
+	var health map[string]json.RawMessage
+	if err := json.NewDecoder(hr.Body).Decode(&health); err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for k := range health {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	if got, want := strings.Join(keys, ","), "accepting,jobs,queueCapacity,queueDepth,status"; got != want {
+		t.Fatalf("/healthz keys %s, want %s", got, want)
 	}
 }

@@ -41,9 +41,6 @@ func modelForDoc(doc *ResultDoc) (*timeline.Model, error) {
 // self-describing.
 func (s *Server) timelineModel(w http.ResponseWriter, r *http.Request) *timeline.Model {
 	id := r.PathValue("id")
-	if s.routeJobID(w, r, id) {
-		return nil // answered by the node that created the job
-	}
 	j := s.Job(id)
 	if j == nil {
 		writeJSON(w, http.StatusNotFound, errorBody{Error: fmt.Sprintf("no job %q", id)})
