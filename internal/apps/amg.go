@@ -125,8 +125,7 @@ func (a *AMG) Step(p *proc.Process, rank int, state mpi.RankState, cycle int) er
 			p.At(331)
 			if a.Variant == Fixed {
 				// The paper's fix: plain memset on the CPU-resident pages.
-				fill := make([]byte, a.ManagedBytes)
-				if fail(p.Host.Poke(accum.Base(), fill)) {
+				if fail(p.Host.Fill(accum.Base(), 0, a.ManagedBytes)) {
 					return
 				}
 				p.CPUWork(120 * simtime.Microsecond)

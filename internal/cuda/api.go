@@ -273,11 +273,7 @@ func (c *Context) MemsetManaged(addr memory.Addr, v byte, n int) error {
 	if r == nil || c.hostAttrs[r] != HostManaged {
 		return fmt.Errorf("cuda: MemsetManaged on non-managed address %#x", addr)
 	}
-	fill := make([]byte, n)
-	for i := range fill {
-		fill[i] = v
-	}
-	if err := c.host.Poke(addr, fill); err != nil {
+	if err := c.host.Fill(addr, v, n); err != nil {
 		return err
 	}
 	mirror := c.managed[r]

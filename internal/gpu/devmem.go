@@ -17,13 +17,47 @@ var ErrOutOfMemory = errors.New("gpu: out of device memory")
 // memory.
 var ErrBadDevPtr = errors.New("gpu: invalid device pointer")
 
-// DevBuf is an allocation in device memory.
+// DevBuf is an allocation in device memory. Its bytes are lazy: while data
+// is nil every byte equals fill, so an untouched buffer or one just memset
+// whole costs no host memory. The first write, partial fill or view
+// materialises the whole buffer once.
 type DevBuf struct {
 	base  DevPtr
 	size  int
-	data  []byte
+	data  []byte // nil while uniform
+	fill  byte
 	freed bool
 	label string
+}
+
+// dense materialises b and returns its backing bytes.
+func (b *DevBuf) dense() []byte {
+	if b.data == nil {
+		b.data = make([]byte, b.size)
+		fillBytes(b.data, b.fill)
+	}
+	return b.data
+}
+
+// read returns a copy of the n bytes at off.
+func (b *DevBuf) read(off, n int) []byte {
+	out := make([]byte, n)
+	if b.data == nil {
+		fillBytes(out, b.fill)
+	} else {
+		copy(out, b.data[off:off+n])
+	}
+	return out
+}
+
+func fillBytes(p []byte, v byte) {
+	if v == 0 {
+		clear(p)
+		return
+	}
+	for i := range p {
+		p[i] = v
+	}
 }
 
 // Base returns the buffer's device address.
@@ -64,7 +98,7 @@ func (d *Device) Malloc(n int, label string) (*DevBuf, error) {
 	if a.live+int64(n) > a.capacity {
 		return nil, fmt.Errorf("%w: need %d, %d live of %d", ErrOutOfMemory, n, a.live, a.capacity)
 	}
-	b := &DevBuf{base: a.next, size: n, data: make([]byte, n), label: label}
+	b := &DevBuf{base: a.next, size: n, label: label}
 	a.next += DevPtr(n)
 	// Keep 256-byte alignment like cudaMalloc.
 	a.next = (a.next + 255) / 256 * 256
@@ -109,7 +143,7 @@ func (d *Device) DevWrite(ptr DevPtr, p []byte) error {
 	if ptr+DevPtr(len(p)) > b.End() {
 		return fmt.Errorf("%w: write past end of %q", ErrBadDevPtr, b.label)
 	}
-	copy(b.data[int(ptr-b.base):], p)
+	copy(b.dense()[int(ptr-b.base):], p)
 	return nil
 }
 
@@ -122,15 +156,14 @@ func (d *Device) DevRead(ptr DevPtr, n int) ([]byte, error) {
 	if ptr+DevPtr(n) > b.End() {
 		return nil, fmt.Errorf("%w: read past end of %q", ErrBadDevPtr, b.label)
 	}
-	out := make([]byte, n)
-	copy(out, b.data[int(ptr-b.base):])
-	return out, nil
+	return b.read(int(ptr-b.base), n), nil
 }
 
 // DevReadView is DevRead without the copy: it returns a slice aliasing the
-// buffer's live bytes. Callers must treat it as read-only and must not
-// retain it past the operation that requested it — later DevWrite, DevFill
-// or FreeBuf calls change or invalidate the contents.
+// buffer's live bytes, materialising a uniform buffer first. Callers must
+// treat it as read-only and must not retain it past the operation that
+// requested it — later DevWrite, DevFill or FreeBuf calls change or
+// invalidate the contents.
 func (d *Device) DevReadView(ptr DevPtr, n int) ([]byte, error) {
 	b := d.BufAt(ptr)
 	if b == nil {
@@ -140,10 +173,11 @@ func (d *Device) DevReadView(ptr DevPtr, n int) ([]byte, error) {
 		return nil, fmt.Errorf("%w: read past end of %q", ErrBadDevPtr, b.label)
 	}
 	off := int(ptr - b.base)
-	return b.data[off : off+n : off+n], nil
+	return b.dense()[off : off+n : off+n], nil
 }
 
-// DevFill sets n bytes at ptr to value v (memset landing).
+// DevFill sets n bytes at ptr to value v (memset landing). A fill of the
+// whole buffer drops its backing and leaves it uniform, so it is O(1).
 func (d *Device) DevFill(ptr DevPtr, v byte, n int) error {
 	b := d.BufAt(ptr)
 	if b == nil {
@@ -152,10 +186,15 @@ func (d *Device) DevFill(ptr DevPtr, v byte, n int) error {
 	if ptr+DevPtr(n) > b.End() {
 		return fmt.Errorf("%w: fill past end of %q", ErrBadDevPtr, b.label)
 	}
-	off := int(ptr - b.base)
-	for i := 0; i < n; i++ {
-		b.data[off+i] = v
+	if n <= 0 {
+		return nil
 	}
+	if ptr == b.base && n == b.size {
+		b.data, b.fill = nil, v
+		return nil
+	}
+	off := int(ptr - b.base)
+	fillBytes(b.dense()[off:off+n], v)
 	return nil
 }
 

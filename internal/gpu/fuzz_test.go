@@ -1,0 +1,146 @@
+package gpu
+
+import (
+	"bytes"
+	"errors"
+	"testing"
+)
+
+// Operations decoded by FuzzLazyDevMem. Each consumes the argument bytes
+// listed beside it; a buffer argument picks among the allocations so far.
+const (
+	devAlloc     = iota // size
+	devWrite            // buf, off, n, then n payload bytes
+	devFillWhole        // buf, v
+	devFillPart         // buf, off, n, v
+	devRead             // buf, off, n
+	devView             // buf, off, n
+	devFree             // buf
+	devOps
+)
+
+// shadowBuf is the dense model a DevBuf must agree with.
+type shadowBuf struct {
+	buf   *DevBuf
+	data  []byte
+	freed bool
+}
+
+// FuzzLazyDevMem runs a decoded sequence of device-memory operations
+// against the lazy DevBuf and against a plain []byte per buffer. Every read
+// and view must equal the shadow bytes, and every operation must fail
+// exactly when the shadow says it addresses outside a live buffer.
+func FuzzLazyDevMem(f *testing.F) {
+	// A whole fill followed by a one-byte write.
+	f.Add([]byte{devAlloc, 31, devFillWhole, 0, 0x5a, devWrite, 0, 7, 1, 0x01, devRead, 0, 0, 32})
+	// A non-zero fill followed by a view.
+	f.Add([]byte{devAlloc, 15, devFillWhole, 0, 0xff, devView, 0, 3, 9})
+	// A fill of length 0, on a fresh and on a materialised buffer.
+	f.Add([]byte{devAlloc, 7, devFillPart, 0, 2, 0, 9, devWrite, 0, 0, 2, 4, 4, devFillPart, 0, 8, 0, 9, devRead, 0, 0, 8})
+	// A fill on a freed buffer.
+	f.Add([]byte{devAlloc, 63, devFree, 0, devFillWhole, 0, 1, devFillPart, 0, 0, 4, 1, devFree, 0})
+	// Whole fills back to uniform after writes, across two buffers.
+	f.Add([]byte{devAlloc, 3, devAlloc, 3, devWrite, 1, 1, 2, 8, 9, devFillWhole, 1, 0, devRead, 1, 0, 4, devFillPart, 0, 1, 2, 6, devView, 0, 0, 4})
+	// A non-zero whole fill read back by copy, without materialising.
+	f.Add([]byte{devAlloc, 7, devFillWhole, 0, 0x3c, devRead, 0, 2, 5})
+	// A partial fill from the base leaves the tail alone.
+	f.Add([]byte{devAlloc, 7, devWrite, 0, 6, 2, 1, 2, devFillPart, 0, 0, 3, 9, devRead, 0, 0, 8})
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		_, d := newDev()
+		var bufs []*shadowBuf
+		next := func() byte {
+			if len(prog) == 0 {
+				return 0
+			}
+			b := prog[0]
+			prog = prog[1:]
+			return b
+		}
+		// span decodes an (off, n) pair that may run up to two bytes past
+		// the end, and reports whether the shadow rejects it.
+		span := func(sb *shadowBuf) (off, n int, bad bool) {
+			off = int(next()) % (len(sb.data) + 2)
+			n = int(next()) % (len(sb.data) + 2)
+			return off, n, sb.freed || off >= len(sb.data) || off+n > len(sb.data)
+		}
+		check := func(op string, err error, bad bool) {
+			t.Helper()
+			if bad && !errors.Is(err, ErrBadDevPtr) {
+				t.Fatalf("%s: err = %v, want ErrBadDevPtr", op, err)
+			}
+			if !bad && err != nil {
+				t.Fatalf("%s: unexpected error %v", op, err)
+			}
+		}
+		for step := 0; len(prog) > 0; step++ {
+			op := next() % devOps
+			if op == devAlloc || len(bufs) == 0 {
+				n := 1 + int(next()%64)
+				b, err := d.Malloc(n, "fuzz")
+				if err != nil {
+					t.Fatal(err)
+				}
+				bufs = append(bufs, &shadowBuf{buf: b, data: make([]byte, n)})
+				continue
+			}
+			sb := bufs[int(next())%len(bufs)]
+			base := sb.buf.Base()
+			switch op {
+			case devWrite:
+				off, n, bad := span(sb)
+				p := make([]byte, n)
+				for i := range p {
+					p[i] = next()
+				}
+				check("DevWrite", d.DevWrite(base+DevPtr(off), p), bad)
+				if !bad {
+					copy(sb.data[off:], p)
+				}
+			case devFillWhole:
+				v := next()
+				check("DevFill whole", d.DevFill(base, v, len(sb.data)), sb.freed)
+				if !sb.freed {
+					setBytes(sb.data, v)
+				}
+			case devFillPart:
+				off, n, bad := span(sb)
+				v := next()
+				check("DevFill", d.DevFill(base+DevPtr(off), v, n), bad)
+				if !bad {
+					setBytes(sb.data[off:off+n], v)
+				}
+			case devRead, devView:
+				off, n, bad := span(sb)
+				var got []byte
+				var err error
+				if op == devRead {
+					got, err = d.DevRead(base+DevPtr(off), n)
+				} else {
+					got, err = d.DevReadView(base+DevPtr(off), n)
+				}
+				check("read", err, bad)
+				if !bad && !bytes.Equal(got, sb.data[off:off+n]) {
+					t.Fatalf("step %d: read [%d,%d) = %x, shadow %x", step, off, off+n, got, sb.data[off:off+n])
+				}
+			case devFree:
+				check("FreeBuf", d.FreeBuf(sb.buf), sb.freed)
+				sb.freed = true
+			}
+		}
+		for i, sb := range bufs {
+			if sb.freed {
+				continue
+			}
+			got, err := d.DevRead(sb.buf.Base(), len(sb.data))
+			if err != nil || !bytes.Equal(got, sb.data) {
+				t.Fatalf("buffer %d final contents %x (err %v), shadow %x", i, got, err, sb.data)
+			}
+		}
+	})
+}
+
+func setBytes(p []byte, v byte) {
+	for i := range p {
+		p[i] = v
+	}
+}

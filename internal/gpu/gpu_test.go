@@ -232,6 +232,39 @@ func TestMallocOOM(t *testing.T) {
 	}
 }
 
+// An untouched or whole-filled buffer holds no host bytes, but the
+// allocator still charges its full size against capacity.
+func TestLazyBuffersChargeFullSize(t *testing.T) {
+	c := simtime.NewClock()
+	cfg := DefaultConfig()
+	cfg.MemoryBytes = 1 << 20
+	d := New(c, cfg)
+	a, err := d.Malloc(768<<10, "untouched")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Malloc(512<<10, "too big"); !errors.Is(err, ErrOutOfMemory) {
+		t.Fatalf("Malloc past MemoryBytes: %v", err)
+	}
+	b, err := d.Malloc(256<<10, "filled")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.DevFill(b.Base(), 7, b.Size()); err != nil {
+		t.Fatal(err)
+	}
+	if st := d.MemStats(); st.LiveBytes != 1<<20 || st.PeakBytes != 1<<20 {
+		t.Fatalf("stats = %+v, want live and peak 1 MiB", st)
+	}
+	if _, err := d.Malloc(1, "full"); !errors.Is(err, ErrOutOfMemory) {
+		t.Fatalf("Malloc on a full device: %v", err)
+	}
+	_ = d.FreeBuf(a)
+	if st := d.MemStats(); st.LiveBytes != 256<<10 || st.PeakBytes != 1<<20 {
+		t.Fatalf("stats after free = %+v", st)
+	}
+}
+
 func TestDevReadWriteFill(t *testing.T) {
 	_, d := newDev()
 	b, _ := d.Malloc(64, "buf")

@@ -1,0 +1,208 @@
+package memory
+
+import (
+	"bytes"
+	"errors"
+	"testing"
+)
+
+// Operations decoded by FuzzLazySpace. Each consumes the argument bytes
+// listed beside it; a region argument picks among the allocations so far.
+const (
+	spAlloc     = iota // size
+	spStore            // region, off, n, then n payload bytes
+	spPoke             // region, off, n, then n payload bytes
+	spFillWhole        // region, v
+	spFillPart         // region, off, n, v
+	spLoad             // region, off, n
+	spPeek             // region, off, n
+	spView             // region, off, n
+	spProtect          // region (toggles write protection)
+	spFree             // region
+	spOps
+)
+
+// shadowRegion is the dense model a Region must agree with.
+type shadowRegion struct {
+	r         *Region
+	data      []byte
+	protected bool
+	freed     bool
+}
+
+// FuzzLazySpace runs a decoded sequence of address-space operations against
+// the lazy Region and against a plain []byte per region. Every read and view
+// must equal the shadow bytes; every operation must fail with the error the
+// shadow predicts (out of range, use after free, protected); and watchers
+// must see exactly the successful Load and Store calls.
+func FuzzLazySpace(f *testing.F) {
+	// A whole fill followed by a one-byte write.
+	f.Add([]byte{spAlloc, 31, spFillWhole, 0, 0x5a, spStore, 0, 7, 1, 0x01, spPeek, 0, 0, 32})
+	// A non-zero fill followed by a view.
+	f.Add([]byte{spAlloc, 15, spFillWhole, 0, 0xff, spView, 0, 3, 9})
+	// A fill of length 0, on a fresh and on a materialised region.
+	f.Add([]byte{spAlloc, 7, spFillPart, 0, 2, 0, 9, spPoke, 0, 0, 2, 4, 4, spFillPart, 0, 8, 0, 9, spLoad, 0, 0, 8})
+	// A fill on a freed region.
+	f.Add([]byte{spAlloc, 63, spFree, 0, spFillWhole, 0, 1, spFillPart, 0, 0, 4, 1, spLoad, 0, 0, 1})
+	// Fills, stores and pokes against a protected region, then unprotected.
+	f.Add([]byte{spAlloc, 3, spProtect, 0, spFillWhole, 0, 7, spFillPart, 0, 1, 1, 7, spStore, 0, 0, 1, 1, spPoke, 0, 0, 1, 1, spProtect, 0, spFillPart, 0, 1, 2, 7, spLoad, 0, 0, 4})
+	// A non-zero whole fill read back by copy, without materialising.
+	f.Add([]byte{spAlloc, 7, spFillWhole, 0, 0x3c, spLoad, 0, 2, 5})
+	// A partial fill from the base leaves the tail alone.
+	f.Add([]byte{spAlloc, 7, spPoke, 0, 6, 2, 1, 2, spFillPart, 0, 0, 3, 9, spLoad, 0, 0, 8})
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		s := NewSpace()
+		watched := 0
+		s.Watch(1, ^Addr(0), func(Access) { watched++ })
+		wantWatched := 0
+		var regions []*shadowRegion
+		next := func() byte {
+			if len(prog) == 0 {
+				return 0
+			}
+			b := prog[0]
+			prog = prog[1:]
+			return b
+		}
+		// span decodes an (off, n) pair that may run up to two bytes past
+		// the end, and returns the error the shadow predicts for an access
+		// of kind k, which is Load or Store for instrumented accesses and
+		// -1 for DMA.
+		span := func(sr *shadowRegion, k int) (off, n int, want error) {
+			off = int(next()) % (len(sr.data) + 2)
+			n = int(next()) % (len(sr.data) + 2)
+			switch {
+			case off >= len(sr.data):
+				want = ErrOutOfRange
+			case sr.freed && k >= 0:
+				want = ErrUseAfterFree
+			case sr.freed || off+n > len(sr.data):
+				want = ErrOutOfRange
+			}
+			return off, n, want
+		}
+		writeErr := func(sr *shadowRegion, want error) error {
+			if want == nil && sr.protected {
+				return ErrProtected
+			}
+			return want
+		}
+		check := func(op string, err, want error) {
+			t.Helper()
+			if want != nil && !errors.Is(err, want) {
+				t.Fatalf("%s: err = %v, want %v", op, err, want)
+			}
+			if want == nil && err != nil {
+				t.Fatalf("%s: unexpected error %v", op, err)
+			}
+		}
+		for step := 0; len(prog) > 0; step++ {
+			op := next() % spOps
+			if op == spAlloc || len(regions) == 0 {
+				n := 1 + int(next()%64)
+				regions = append(regions, &shadowRegion{r: s.Alloc(n, "fuzz"), data: make([]byte, n)})
+				continue
+			}
+			sr := regions[int(next())%len(regions)]
+			base := sr.r.Base()
+			switch op {
+			case spStore, spPoke:
+				k := int(Store)
+				if op == spPoke {
+					k = -1
+				}
+				off, n, want := span(sr, k)
+				want = writeErr(sr, want)
+				p := make([]byte, n)
+				for i := range p {
+					p[i] = next()
+				}
+				if op == spStore {
+					check("Store", s.Store(site, base+Addr(off), p), want)
+				} else {
+					check("Poke", s.Poke(base+Addr(off), p), want)
+				}
+				if want == nil {
+					copy(sr.data[off:], p)
+					if op == spStore {
+						wantWatched++
+					}
+				}
+			case spFillWhole:
+				v := next()
+				var want error
+				if sr.freed {
+					want = ErrOutOfRange
+				}
+				want = writeErr(sr, want)
+				check("Fill whole", s.Fill(base, v, len(sr.data)), want)
+				if want == nil {
+					setBytes(sr.data, v)
+				}
+			case spFillPart:
+				off, n, want := span(sr, -1)
+				want = writeErr(sr, want)
+				v := next()
+				check("Fill", s.Fill(base+Addr(off), v, n), want)
+				if want == nil {
+					setBytes(sr.data[off:off+n], v)
+				}
+			case spLoad, spPeek, spView:
+				k := -1
+				if op == spLoad {
+					k = int(Load)
+				}
+				off, n, want := span(sr, k)
+				var got []byte
+				var err error
+				switch op {
+				case spLoad:
+					got, err = s.Load(site, base+Addr(off), n)
+				case spPeek:
+					got, err = s.Peek(base+Addr(off), n)
+				default:
+					got, err = s.PeekView(base+Addr(off), n)
+				}
+				check("read", err, want)
+				if want == nil {
+					if !bytes.Equal(got, sr.data[off:off+n]) {
+						t.Fatalf("step %d: read [%d,%d) = %x, shadow %x", step, off, off+n, got, sr.data[off:off+n])
+					}
+					if op == spLoad {
+						wantWatched++
+					}
+				}
+			case spProtect:
+				if sr.protected {
+					s.Unprotect(sr.r)
+				} else {
+					s.Protect(sr.r)
+				}
+				sr.protected = !sr.protected
+			case spFree:
+				if !sr.freed {
+					s.Free(sr.r)
+					sr.freed = true
+				}
+			}
+		}
+		if watched != wantWatched {
+			t.Fatalf("watch fired %d times, want %d (one per successful Load/Store)", watched, wantWatched)
+		}
+		for i, sr := range regions {
+			if sr.freed {
+				continue
+			}
+			got, err := s.Peek(sr.r.Base(), len(sr.data))
+			if err != nil || !bytes.Equal(got, sr.data) {
+				t.Fatalf("region %d final contents %x (err %v), shadow %x", i, got, err, sr.data)
+			}
+		}
+	})
+}
+
+func setBytes(p []byte, v byte) {
+	for i := range p {
+		p[i] = v
+	}
+}

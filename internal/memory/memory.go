@@ -9,9 +9,13 @@
 // mprotect to prove a removed transfer's source is never modified.
 //
 // Space reproduces those capabilities: it allocates labelled regions in a
-// flat virtual address space, stores their actual bytes (so stage 3 can hash
+// flat virtual address space, keeps their contents (so stage 3 can hash
 // transfer payloads), dispatches instrumented Load/Store accesses to range
-// watchers, and supports an mprotect-style write protection flag.
+// watchers, and supports an mprotect-style write protection flag. Contents
+// are lazy: a region holds no bytes while every byte has one value (fresh
+// from Alloc, or after a Fill of the whole region), and materialises them
+// on its first write, partial fill or view. Reads see the same bytes either
+// way.
 package memory
 
 import (
@@ -75,9 +79,40 @@ type Region struct {
 	base      Addr
 	size      int
 	label     string
-	data      []byte
+	data      []byte // nil while every byte equals fill
+	fill      byte
 	protected bool
 	freed     bool
+}
+
+// dense materialises r and returns its backing bytes.
+func (r *Region) dense() []byte {
+	if r.data == nil {
+		r.data = make([]byte, r.size)
+		fillBytes(r.data, r.fill)
+	}
+	return r.data
+}
+
+// read returns a copy of the n bytes at off.
+func (r *Region) read(off, n int) []byte {
+	out := make([]byte, n)
+	if r.data == nil {
+		fillBytes(out, r.fill)
+	} else {
+		copy(out, r.data[off:off+n])
+	}
+	return out
+}
+
+func fillBytes(p []byte, v byte) {
+	if v == 0 {
+		clear(p)
+		return
+	}
+	for i := range p {
+		p[i] = v
+	}
 }
 
 // Base returns the first address of the region.
@@ -159,7 +194,7 @@ func (s *Space) Alloc(size int, label string) *Region {
 		panic(fmt.Sprintf("memory: Alloc size %d", size))
 	}
 	base := s.next
-	r := &Region{base: base, size: size, label: label, data: make([]byte, size)}
+	r := &Region{base: base, size: size, label: label}
 	s.next = roundUp(base+Addr(size), PageSize)
 	s.regions = append(s.regions, r)
 	return r
@@ -252,10 +287,7 @@ func (s *Space) Load(site Site, addr Addr, n int) ([]byte, error) {
 	}
 	s.loads++
 	s.dispatch(Access{Kind: Load, Addr: addr, Size: n, Site: site})
-	off := int(addr - r.base)
-	out := make([]byte, n)
-	copy(out, r.data[off:off+n])
-	return out, nil
+	return r.read(int(addr-r.base), n), nil
 }
 
 // Store performs an instrumented write of p at addr from site.
@@ -275,7 +307,7 @@ func (s *Space) Store(site Site, addr Addr, p []byte) error {
 	}
 	s.stores++
 	s.dispatch(Access{Kind: Store, Addr: addr, Size: len(p), Site: site})
-	copy(r.data[int(addr-r.base):], p)
+	copy(r.dense()[int(addr-r.base):], p)
 	return nil
 }
 
@@ -289,17 +321,15 @@ func (s *Space) Peek(addr Addr, n int) ([]byte, error) {
 	if addr+Addr(n) > r.End() {
 		return nil, fmt.Errorf("%w: peek past end of %q", ErrOutOfRange, r.label)
 	}
-	out := make([]byte, n)
-	copy(out, r.data[int(addr-r.base):int(addr-r.base)+n])
-	return out, nil
+	return r.read(int(addr-r.base), n), nil
 }
 
 // PeekView is Peek without the copy: it returns a slice aliasing the
-// region's live bytes. Callers must treat it as read-only and must not
-// retain it past the operation that requested it — any later Store, Poke or
-// Free changes or invalidates the contents. The driver's transfer paths use
-// it so capturing a payload for hashing does not cost an allocation per
-// transfer.
+// region's live bytes, materialising a uniform region first. Callers must
+// treat it as read-only and must not retain it past the operation that
+// requested it — any later Store, Poke, Fill or Free changes or invalidates
+// the contents. The driver's transfer paths use it so capturing a payload
+// for hashing does not cost an allocation per transfer.
 func (s *Space) PeekView(addr Addr, n int) ([]byte, error) {
 	r := s.RegionAt(addr)
 	if r == nil {
@@ -309,7 +339,7 @@ func (s *Space) PeekView(addr Addr, n int) ([]byte, error) {
 		return nil, fmt.Errorf("%w: peek past end of %q", ErrOutOfRange, r.label)
 	}
 	off := int(addr - r.base)
-	return r.data[off : off+n : off+n], nil
+	return r.dense()[off : off+n : off+n], nil
 }
 
 // Poke writes p at addr without generating an access event (DMA write path,
@@ -325,7 +355,33 @@ func (s *Space) Poke(addr Addr, p []byte) error {
 	if r.protected {
 		return fmt.Errorf("%w: %q at %#x", ErrProtected, r.label, addr)
 	}
-	copy(r.data[int(addr-r.base):], p)
+	copy(r.dense()[int(addr-r.base):], p)
+	return nil
+}
+
+// Fill sets n bytes at addr to v without generating an access event (the
+// DMA path of a memset). It fails exactly as a Poke of n bytes would. A fill
+// of the whole region drops its backing, so it is O(1).
+func (s *Space) Fill(addr Addr, v byte, n int) error {
+	r := s.RegionAt(addr)
+	if r == nil {
+		return fmt.Errorf("%w: fill %#x", ErrOutOfRange, addr)
+	}
+	if n < 0 || addr+Addr(n) > r.End() {
+		return fmt.Errorf("%w: fill past end of %q", ErrOutOfRange, r.label)
+	}
+	if r.protected {
+		return fmt.Errorf("%w: %q at %#x", ErrProtected, r.label, addr)
+	}
+	if n == 0 {
+		return nil
+	}
+	if addr == r.base && n == r.size {
+		r.data, r.fill = nil, v
+		return nil
+	}
+	off := int(addr - r.base)
+	fillBytes(r.dense()[off:off+n], v)
 	return nil
 }
 

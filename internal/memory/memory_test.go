@@ -1,6 +1,7 @@
 package memory
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -139,6 +140,57 @@ func TestPeekPokeBypassWatchers(t *testing.T) {
 	got, _ := s.Peek(r.Base(), 1)
 	if got[0] != 7 {
 		t.Fatalf("Peek = %d, want 7", got[0])
+	}
+}
+
+func TestFillProtected(t *testing.T) {
+	s := NewSpace()
+	r := s.Alloc(32, "const data")
+	s.Protect(r)
+	if err := s.Fill(r.Base(), 1, r.Size()); !errors.Is(err, ErrProtected) {
+		t.Fatalf("whole fill of protected: %v", err)
+	}
+	if err := s.Fill(r.Base()+4, 1, 4); !errors.Is(err, ErrProtected) {
+		t.Fatalf("partial fill of protected: %v", err)
+	}
+	got, _ := s.Peek(r.Base(), r.Size())
+	if !bytes.Equal(got, make([]byte, 32)) {
+		t.Fatalf("rejected fill changed bytes: %v", got)
+	}
+}
+
+func TestFillPastEnd(t *testing.T) {
+	s := NewSpace()
+	r := s.Alloc(32, "buf")
+	if err := s.Fill(r.Base()+30, 1, 3); !errors.Is(err, ErrOutOfRange) {
+		t.Fatalf("fill past end: %v", err)
+	}
+	if err := s.Fill(r.End(), 1, 1); !errors.Is(err, ErrOutOfRange) {
+		t.Fatalf("fill at end: %v", err)
+	}
+	if err := s.Fill(r.Base(), 1, r.Size()+1); !errors.Is(err, ErrOutOfRange) {
+		t.Fatalf("fill of size+1: %v", err)
+	}
+}
+
+func TestPartialFillOfUniformRegion(t *testing.T) {
+	s := NewSpace()
+	r := s.Alloc(16, "accum")
+	fired := 0
+	s.Watch(r.Base(), r.End(), func(Access) { fired++ })
+	if err := s.Fill(r.Base(), 0xAA, r.Size()); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Fill(r.Base()+4, 0x55, 8); err != nil {
+		t.Fatal(err)
+	}
+	got, _ := s.Peek(r.Base(), r.Size())
+	want := append(append(bytes.Repeat([]byte{0xAA}, 4), bytes.Repeat([]byte{0x55}, 8)...), bytes.Repeat([]byte{0xAA}, 4)...)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("after partial fill = %x, want %x", got, want)
+	}
+	if fired != 0 {
+		t.Fatalf("Fill fired %d watcher events", fired)
 	}
 }
 
