@@ -36,7 +36,7 @@ func serveWithContext(ctx context.Context, w io.Writer, args []string) error {
 	storeBudget := fs.Int64("store-budget", 0, "store LRU byte budget (0 = unbounded)")
 	ledgerBatch := fs.Int("ledger-batch", 0, "provenance ledger Merkle batch size (1 = seal every append; 0 = default 64)")
 	ledgerFlush := fs.Duration("ledger-flush", 0, "provenance ledger flush interval (0 = default 2s; negative disables the timer)")
-	cacheBudget := fs.Int64("cache-budget", 0, "in-memory report cache byte budget (0 = unbounded)")
+	cacheBudget := fs.Int64("cache-budget", 0, "in-memory report cache budget in estimated resident bytes (0 = unbounded)")
 	timeout := fs.Duration("timeout", 0, "default per-job execution cap (0 = none)")
 	drain := fs.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")
 	if err := fs.Parse(args); err != nil {

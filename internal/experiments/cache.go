@@ -9,13 +9,17 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"unsafe"
 
 	"diogenes/internal/apps"
+	"diogenes/internal/callstack"
 	"diogenes/internal/cuda"
 	"diogenes/internal/ffm"
+	"diogenes/internal/ffm/graph"
 	"diogenes/internal/gpu"
 	"diogenes/internal/obs"
 	"diogenes/internal/simtime"
+	"diogenes/internal/trace"
 )
 
 // cacheableConfig is the canonical encoding of everything in an ffm.Config
@@ -78,16 +82,18 @@ func CacheKey(app string, scale float64, variant apps.Variant, cfg ffm.Config) (
 // The cache is safe for concurrent use and deduplicates in-flight work —
 // two workers asking for the same key run the pipeline once.
 //
-// Memory is bounded: SetByteBudget caps the resident serialized-report
-// bytes, and crossing the cap evicts least-recently-used completed entries
-// (counted on cache/evictions). The budget is soft by exactly one entry —
-// the most recently computed result is never evicted by its own arrival,
-// so a single oversized report is returned and retained rather than
-// thrashed. The default budget of zero keeps the historical unbounded
+// Memory is bounded: SetByteBudget caps the estimated resident bytes of
+// the cached reports (reportCost: computed from each report's in-memory
+// form, never by encoding it), and crossing the cap evicts
+// least-recently-used completed entries (counted on cache/evictions). The
+// budget is soft by exactly one entry — the most recently computed result
+// is never evicted by its own arrival, so a single oversized report is
+// returned and retained rather than thrashed. The default budget of zero keeps the historical unbounded
 // behaviour.
 //
 // Cached values are shared: callers must treat a returned *ffm.Report as
-// immutable.
+// immutable. The cache resolves a report's lazy trace hashes before
+// publishing it, so concurrent readers never write to it.
 type ReportCache struct {
 	mu      sync.Mutex
 	entries map[string]*cacheEntry
@@ -124,8 +130,8 @@ func NewReportCache() *ReportCache {
 	return &ReportCache{entries: make(map[string]*cacheEntry), order: list.New()}
 }
 
-// SetByteBudget caps the cache's resident cost at n bytes (serialized
-// report size for reports, a small nominal cost for runtimes), evicting
+// SetByteBudget caps the cache's resident cost at n bytes (estimated
+// resident size for reports, a small nominal cost for runtimes), evicting
 // LRU entries immediately if the cache is already over. n <= 0 removes the
 // bound.
 func (c *ReportCache) SetByteBudget(n int64) {
@@ -142,8 +148,8 @@ func (c *ReportCache) SetByteBudget(n int64) {
 // SetMetrics mirrors the cache's accounting to a self-measurement
 // registry: cache/hits, cache/misses, cache/evictions, the resident-cost
 // gauge cache/bytes, and — for each report computed through the cache —
-// the cumulative serialized report size (cache/report_bytes). Nil receiver
-// and nil registry are both no-ops.
+// the cumulative estimated resident report size (cache/report_bytes). Nil
+// receiver and nil registry are both no-ops.
 func (c *ReportCache) SetMetrics(m *obs.Registry) {
 	if c == nil {
 		return
@@ -226,7 +232,7 @@ func (c *ReportCache) evictLocked(keep *cacheEntry) {
 }
 
 // Report memoizes a full pipeline report. Its retention cost is the
-// serialized report size.
+// report's estimated resident size.
 func (c *ReportCache) Report(key string, compute func() (*ffm.Report, error)) (*ffm.Report, error) {
 	rep, _, err := c.ReportHit(key, compute)
 	return rep, err
@@ -242,7 +248,14 @@ func (c *ReportCache) ReportHit(key string, compute func() (*ffm.Report, error))
 		if err != nil {
 			return rep, 0, err
 		}
-		size := serializedSize(rep)
+		// Cached reports are shared read-only by concurrent readers (fleet
+		// folds, served renders, table2/autofix). Fill the trace's lazy
+		// stage-3 hashes now, before the report is published, so no reader
+		// ever writes them: resolving on first render would race.
+		if rep != nil && rep.Trace != nil {
+			rep.Trace.ResolveHashes()
+		}
+		size := reportCost(rep)
 		c.mu.Lock()
 		bytesCounter := c.mBytes
 		c.mu.Unlock()
@@ -279,24 +292,68 @@ func (c *ReportCache) Runtime(key string, compute func() (simtime.Duration, erro
 	return d, nil
 }
 
-// serializedSize measures a report's JSON encoding without retaining it.
-func serializedSize(rep *ffm.Report) int64 {
+// Resident sizes of the report's building blocks, for reportCost.
+const (
+	sizeReport   = int64(unsafe.Sizeof(ffm.Report{}))
+	sizeBaseline = int64(unsafe.Sizeof(ffm.BaselineResult{}))
+	sizeRun      = int64(unsafe.Sizeof(trace.Run{}))
+	sizeRecord   = int64(unsafe.Sizeof(trace.Record{}))
+	sizeFrame    = int64(unsafe.Sizeof(callstack.Frame{}))
+	sizeOp       = int64(unsafe.Sizeof(gpu.Op{}))
+	sizeAnalysis = int64(unsafe.Sizeof(ffm.Analysis{}))
+	sizeGraph    = int64(unsafe.Sizeof(graph.Graph{}))
+	sizeNode     = int64(unsafe.Sizeof(graph.Node{}))
+	sizeGroup    = int64(unsafe.Sizeof(graph.Group{}))
+	sizeString   = int64(unsafe.Sizeof(""))
+	sizePointer  = int64(unsafe.Sizeof(uintptr(0)))
+)
+
+// reportCost estimates a report's resident bytes in one pass over its
+// in-memory form, without encoding or allocating: trace records, device
+// ops, graph nodes and analysis groups at their struct size, plus their
+// string and call-stack lengths. Graph nodes share their record's function
+// name and stack, so those are counted once, on the record. It is the
+// byte-budget charge for a cached report.
+func reportCost(rep *ffm.Report) int64 {
 	if rep == nil {
 		return 0
 	}
-	var n countingWriter
-	if err := rep.WriteJSON(&n); err != nil {
-		return 0
+	n := sizeReport + int64(len(rep.App))
+	if rep.Baseline != nil {
+		n += sizeBaseline
 	}
-	return int64(n)
-}
-
-// countingWriter is an io.Writer that only counts.
-type countingWriter int64
-
-func (w *countingWriter) Write(p []byte) (int, error) {
-	*w += countingWriter(len(p))
-	return len(p), nil
+	if r := rep.Trace; r != nil {
+		n += sizeRun + int64(len(r.App)) + int64(len(r.Records))*sizeRecord
+		for _, f := range r.SyncFuncs {
+			n += sizeString + int64(len(f))
+		}
+		for i := range r.Records {
+			rec := &r.Records[i]
+			n += int64(len(rec.Func) + len(rec.Scope) + len(rec.Dir) + len(rec.Hash) +
+				len(rec.AccessSite.Function) + len(rec.AccessSite.File))
+			n += int64(len(rec.Stack)) * sizeFrame
+			for _, f := range rec.Stack {
+				n += int64(len(f.Function) + len(f.File))
+			}
+		}
+	}
+	n += int64(len(rep.DeviceOps)) * (sizePointer + sizeOp)
+	for _, op := range rep.DeviceOps {
+		n += int64(len(op.Name))
+	}
+	if a := rep.Analysis; a != nil {
+		n += sizeAnalysis + int64(len(a.App))
+		if g := a.Graph; g != nil {
+			n += sizeGraph + int64(len(g.CPU)+len(g.GPU))*(sizePointer+sizeNode)
+		}
+		for _, groups := range [...][]graph.Group{a.SinglePoints, a.Folds, a.Sequences, a.Overview} {
+			n += int64(len(groups)) * sizeGroup
+			for i := range groups {
+				n += int64(len(groups[i].Key)+len(groups[i].Label)) + int64(len(groups[i].Nodes))*sizePointer
+			}
+		}
+	}
+	return n
 }
 
 // Stats returns the hit/miss counters and the number of distinct entries.

@@ -1,15 +1,20 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
+	"sync"
 	"testing"
 
 	"diogenes/internal/ffm"
+	"diogenes/internal/hashstore"
 	"diogenes/internal/obs"
+	"diogenes/internal/trace"
 )
 
-// fakeReport builds a minimal report whose serialized size is stable, for
-// exercising the byte budget without running pipelines.
+// fakeReport builds a minimal report whose cost is stable (app names of
+// equal length cost the same), for exercising the byte budget without
+// running pipelines.
 func fakeReport(app string) *ffm.Report {
 	return &ffm.Report{App: app}
 }
@@ -19,9 +24,9 @@ func TestReportCacheByteBudgetEvictsLRU(t *testing.T) {
 	m := obs.NewRegistry()
 	c.SetMetrics(m)
 
-	one := serializedSize(fakeReport("app-0"))
+	one := reportCost(fakeReport("app-0"))
 	if one <= 0 {
-		t.Fatalf("serializedSize = %d, want > 0", one)
+		t.Fatalf("reportCost = %d, want > 0", one)
 	}
 	c.SetByteBudget(3 * one)
 
@@ -70,7 +75,7 @@ func TestReportCacheByteBudgetEvictsLRU(t *testing.T) {
 
 func TestReportCacheLRUOrderFollowsUse(t *testing.T) {
 	c := NewReportCache()
-	one := serializedSize(fakeReport("app-0"))
+	one := reportCost(fakeReport("app-0"))
 	c.SetByteBudget(2 * one)
 
 	get := func(i int) {
@@ -122,7 +127,7 @@ func TestReportCacheOversizedEntryRetained(t *testing.T) {
 
 func TestSetByteBudgetSheddingExisting(t *testing.T) {
 	c := NewReportCache()
-	one := serializedSize(fakeReport("a"))
+	one := reportCost(fakeReport("a"))
 	for i := 0; i < 4; i++ {
 		if _, err := c.Report(fmt.Sprintf("k%d", i), func() (*ffm.Report, error) {
 			return fakeReport("a"), nil
@@ -136,5 +141,101 @@ func TestSetByteBudgetSheddingExisting(t *testing.T) {
 	}
 	if ev := c.Evictions(); ev != 2 {
 		t.Fatalf("evictions = %d, want 2", ev)
+	}
+}
+
+// cachedApp runs one app through a fresh caching engine, returning the
+// engine (for repeat fetches of the same key) and the cached report.
+func cachedApp(t *testing.T, app string, scale float64) (*Engine, *ffm.Report) {
+	t.Helper()
+	eng := NewEngine(2)
+	rep, err := eng.RunApp(app, scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, misses, entries := eng.Cache.Stats(); misses != 1 || entries != 1 {
+		t.Fatalf("cache misses=%d entries=%d, want the report cached once", misses, entries)
+	}
+	return eng, rep
+}
+
+func TestReportCostAllocatesNothing(t *testing.T) {
+	_, rep := cachedApp(t, "rodinia_gaussian", 0.05)
+	if allocs := testing.AllocsPerRun(10, func() { reportCost(rep) }); allocs != 0 {
+		t.Fatalf("reportCost allocated %.0f times per call, want 0", allocs)
+	}
+}
+
+func TestReportCostGrowsWithContent(t *testing.T) {
+	_, small := cachedApp(t, "rodinia_gaussian", 0.05)
+	_, large := cachedApp(t, "rodinia_gaussian", 0.1)
+	if len(small.Trace.Records) == 0 {
+		t.Fatal("rodinia_gaussian@0.05 produced no trace records")
+	}
+	empty := reportCost(fakeReport("rodinia_gaussian"))
+	cs, cl := reportCost(small), reportCost(large)
+	if cs <= empty {
+		t.Fatalf("cost with %d records = %d, not above the empty report's %d", len(small.Trace.Records), cs, empty)
+	}
+	if cs >= cl {
+		t.Fatalf("cost at scale 0.05 = %d, not below scale 0.1's %d", cs, cl)
+	}
+}
+
+// TestCachedReportResolvedAndShareable pins the cache's publish rule: a
+// cached report's lazy stage-3 hashes are filled before any caller sees
+// it, so concurrent readers rendering the shared report only read it.
+func TestCachedReportResolvedAndShareable(t *testing.T) {
+	eng, rep := cachedApp(t, "rodinia_gaussian", 0.05)
+	transfers := 0
+	for _, rec := range rep.Trace.Records {
+		if rec.Class != trace.ClassTransfer {
+			continue
+		}
+		transfers++
+		if !hashstore.ValidDigest(rec.Hash) {
+			t.Fatalf("record %d: hash %q not resolved at publish", rec.Seq, rec.Hash)
+		}
+	}
+	if transfers == 0 {
+		t.Fatal("rodinia_gaussian@0.05 produced no transfer records")
+	}
+
+	// Every reader fetches the shared report first; the renders then start
+	// together, so nothing but the publish rule orders their accesses.
+	const readers = 4
+	docs := make([][]byte, readers)
+	var fetched, rendered sync.WaitGroup
+	start := make(chan struct{})
+	for i := 0; i < readers; i++ {
+		fetched.Add(1)
+		rendered.Add(1)
+		go func(i int) {
+			defer rendered.Done()
+			shared, err := eng.RunApp("rodinia_gaussian", 0.05)
+			fetched.Done()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			<-start
+			var buf bytes.Buffer
+			if err := shared.WriteJSON(&buf); err != nil {
+				t.Error(err)
+				return
+			}
+			docs[i] = buf.Bytes()
+		}(i)
+	}
+	fetched.Wait()
+	close(start)
+	rendered.Wait()
+	if hits, _, _ := eng.Cache.Stats(); hits != readers {
+		t.Fatalf("cache hits = %d, want %d", hits, readers)
+	}
+	for i := 1; i < readers; i++ {
+		if !bytes.Equal(docs[i], docs[0]) {
+			t.Fatalf("reader %d rendered a different document", i)
+		}
 	}
 }

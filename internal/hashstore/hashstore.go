@@ -7,8 +7,8 @@
 // stage 3) does not also become a real host-time cost per payload:
 //
 //  1. a fixed-seed 64-bit prefilter hash routes the payload to a bucket;
-//  2. first-seen payloads short-circuit — no sha256 is computed, the bytes
-//     are retained (in pooled buffers) as the identity witness;
+//  2. first-seen payloads short-circuit — no sha256 is computed, a copy of
+//     the bytes is retained as the identity witness;
 //  3. duplicates are confirmed by byte comparison against the witness, which
 //     classifies exactly like comparing sha256 digests would;
 //  4. the sha256 digest itself is computed lazily, only when a record's Hash
@@ -159,9 +159,6 @@ func (s *Store) SetMetrics(m *obs.Registry) {
 	s.mRetained = m.Gauge("hashstore/retained_bytes")
 }
 
-// bufPool recycles witness buffers across entries and stores.
-var bufPool = sync.Pool{New: func() any { b := []byte(nil); return &b }}
-
 // Insert records a transfer of payload p occurring at sequence seq. It
 // returns whether the content is a duplicate, the sequence of the first
 // transfer that carried it, and a Ref through which the content hash can be
@@ -214,16 +211,12 @@ func (s *Store) Insert(p []byte, seq int64) (dup bool, firstSeq int64, ref Ref) 
 	return false, seq, Ref{e: e, s: s}
 }
 
-// retain copies p into a pooled buffer and accounts for it. Callers hold mu.
+// retain copies p and accounts for it. Callers hold mu.
 func (s *Store) retain(p []byte) []byte {
 	if len(p) == 0 {
 		return []byte{}
 	}
-	buf := *bufPool.Get().(*[]byte)
-	if cap(buf) < len(p) {
-		buf = make([]byte, len(p))
-	}
-	buf = buf[:len(p)]
+	buf := make([]byte, len(p))
 	copy(buf, p)
 	s.retained += int64(len(p))
 	s.mRetained.Set(float64(s.retained))
@@ -231,7 +224,7 @@ func (s *Store) retain(p []byte) []byte {
 }
 
 // promote computes the entry's sha256 digest from its witness bytes and
-// releases the buffer back to the pool. Callers hold mu. Idempotent.
+// drops the buffer. Callers hold mu. Idempotent.
 func (s *Store) promote(e *entry) {
 	if e.promoted {
 		return
@@ -241,10 +234,6 @@ func (s *Store) promote(e *entry) {
 	s.mSha256.Inc()
 	s.retained -= int64(len(e.payload))
 	s.mRetained.Set(float64(s.retained))
-	if cap(e.payload) > 0 {
-		buf := e.payload[:0]
-		bufPool.Put(&buf)
-	}
 	e.payload = nil
 }
 

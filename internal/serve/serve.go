@@ -76,8 +76,8 @@ type Options struct {
 	// batch before a timer seals it; 0 selects
 	// ledger.DefaultFlushInterval, negative disables the timer.
 	LedgerFlush time.Duration
-	// CacheBudget bounds the in-memory report cache shared by all jobs;
-	// 0 is unbounded.
+	// CacheBudget bounds the in-memory report cache shared by all jobs,
+	// in estimated resident bytes; 0 is unbounded.
 	CacheBudget int64
 	// RetainJobs bounds how many finished job records the manager keeps
 	// for status queries; 0 selects 1024. Live jobs are never dropped.

@@ -105,8 +105,11 @@ type Run struct {
 	// hashResolve, when set, lazily fills the Records' Hash fields the
 	// first time they are rendered (WriteJSON or ResolveHashes). Stage 3
 	// installs it so content hashes are computed only for runs whose
-	// records are actually exported; it must be idempotent. Unexported, so
-	// it survives struct copies but never serializes.
+	// records are actually exported; it must be idempotent. It writes the
+	// records, so it is not safe for concurrent use: a run shared between
+	// goroutines must be resolved before it is shared (the experiments
+	// report cache resolves every report before publishing it).
+	// Unexported, so it survives struct copies but never serializes.
 	hashResolve func(*Run)
 }
 
