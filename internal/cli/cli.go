@@ -137,8 +137,6 @@ func Main(args []string, stdout, stderr io.Writer) int {
 		err = Obs(stdout, rest)
 	case "serve":
 		err = Serve(stdout, rest)
-	case "loadgen":
-		err = Loadgen(stdout, rest)
 	case "verify-ledger":
 		err = VerifyLedger(stdout, rest)
 	case "version":
@@ -276,19 +274,6 @@ commands:
                             negative disables the timer)
       -timeout d            default per-job execution cap
       -drain d              graceful-shutdown drain budget (default 30s)
-  loadgen [flags]           drive serve nodes with a mixed workload; emits a
-                            per-cohort latency/throughput matrix with
-                            validity gates (queues drain between cohorts,
-                            429s count as backpressure and honour
-                            Retry-After, transport failures invalidate)
-      -targets a,b,c        serve base URLs (default http://127.0.0.1:8377)
-      -clients n            concurrent client loops (default 4)
-      -cohorts n            measurement cohorts (default 5; gated claims
-                            need >= 5 valid)
-      -duration d           per-cohort wall time (default 2s)
-      -mix f                interactive fraction (default 0.8)
-      -json file            export the matrix as JSON
-      -gate                 nonzero exit unless >= 5 cohorts are valid
   verify-ledger <dir>       audit a store directory against its provenance
                             ledger: replay the chain, recompute every Merkle
                             root, re-hash every resident report. Exit 0 clean,

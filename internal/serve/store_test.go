@@ -91,17 +91,13 @@ func TestDiskStoreEvictsLRU(t *testing.T) {
 	if err := d.Put(hexKey(0), val); err != nil {
 		t.Fatal(err)
 	}
-	// Filesystem mtime granularity can be coarse; space the writes out.
-	time.Sleep(20 * time.Millisecond)
 	if err := d.Put(hexKey(1), val); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(20 * time.Millisecond)
 	// Touch key 0 so key 1 becomes the LRU entry.
 	if _, err := d.Get(hexKey(0)); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(20 * time.Millisecond)
 	if err := d.Put(hexKey(2), val); err != nil {
 		t.Fatal(err)
 	}
