@@ -10,8 +10,11 @@
 package diogenes_test
 
 import (
+	"context"
 	"errors"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -398,6 +401,65 @@ func benchLedgerAppend(b *testing.B, batch int) {
 func BenchmarkLedgerAppendBaseline(b *testing.B) { benchLedgerAppend(b, 0) }
 func BenchmarkLedgerAppendDirect(b *testing.B)   { benchLedgerAppend(b, 1) }
 func BenchmarkLedgerAppendMerkle64(b *testing.B) { benchLedgerAppend(b, 64) }
+
+// --- Served report rendering -------------------------------------------------
+
+// BenchmarkReportRender times Report.WriteJSON on cumf_als at scale 0.25
+// (a ~2.3 MB document): one compact encoding, indented once. The CI gate
+// is on B/op, which does not depend on host speed.
+func BenchmarkReportRender(b *testing.B) {
+	rep, err := experiments.RunApp("cumf_als", 0.25)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := rep.WriteJSON(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// discardResponse is a ResponseWriter that drops the body.
+type discardResponse struct {
+	h    http.Header
+	code int
+}
+
+func (d *discardResponse) Header() http.Header         { return d.h }
+func (d *discardResponse) Write(p []byte) (int, error) { return len(p), nil }
+func (d *discardResponse) WriteHeader(code int)        { d.code = code }
+
+// BenchmarkServeReportDoc times GET /jobs/{id}/report?format=doc of an
+// in-process cumf_als@0.25 job through the server's handler. The document
+// passes through verbatim, so the cost is routing, not the ~2.3 MB body;
+// the CI gate is on B/op.
+func BenchmarkServeReportDoc(b *testing.B) {
+	s, err := serve.New(serve.Options{Workers: 1, QueueCapacity: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Shutdown(context.Background())
+	j, err := s.Submit(serve.Request{Kind: serve.KindRun, App: "cumf_als", Scale: 0.25})
+	if err != nil {
+		b.Fatal(err)
+	}
+	<-j.Done()
+	if j.State() != serve.StateDone {
+		b.Fatalf("job ended %s", j.State())
+	}
+	h := s.Handler()
+	req := httptest.NewRequest(http.MethodGet, "/jobs/"+j.ID+"/report?format=doc", nil)
+	w := &discardResponse{h: http.Header{}}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.code = http.StatusOK
+		h.ServeHTTP(w, req)
+		if w.code != http.StatusOK {
+			b.Fatalf("status %d", w.code)
+		}
+	}
+}
 
 // --- Ablations: the design choices DESIGN.md calls out ----------------------
 

@@ -260,15 +260,22 @@ func (a *Analysis) exportGroups(gs []graph.Group, withEntries bool) []jsonGroup 
 // format, allowing other tools the ability to access data collected by
 // Diogenes").
 func (a *Analysis) WriteJSON(w io.Writer) error {
-	doc := jsonAnalysis{
+	compact, err := a.MarshalJSON()
+	if err != nil {
+		return err
+	}
+	return trace.WriteIndented(w, compact)
+}
+
+// MarshalJSON is the analysis's one encoding, compact; WriteJSON indents
+// it and the report document splices it in as is.
+func (a *Analysis) MarshalJSON() ([]byte, error) {
+	return json.Marshal(jsonAnalysis{
 		App:          a.App,
 		ExecTime:     a.ExecTime,
 		TotalBenefit: a.TotalBenefit(),
 		Overview:     a.exportGroups(a.Overview, true),
 		SinglePoints: a.exportGroups(a.SinglePoints, false),
 		Savings:      a.SavingsByFunc(),
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
+	})
 }

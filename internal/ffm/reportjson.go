@@ -37,11 +37,24 @@ type jsonReport struct {
 	Analysis           json.RawMessage  `json:"analysis,omitempty"`
 }
 
-// WriteJSON exports the complete report in the tool's JSON format. The
-// encoding is deterministic: two Reports produced by identical pipelines —
-// serial or parallel, in any stage interleaving — serialize to identical
-// bytes.
+// WriteJSON exports the complete report in the tool's JSON format: its
+// one compact encoding (MarshalJSON), indented once, plus a trailing
+// newline. The encoding is deterministic: two Reports produced by
+// identical pipelines — serial or parallel, in any stage interleaving —
+// serialize to identical bytes.
 func (r *Report) WriteJSON(w io.Writer) error {
+	compact, err := r.MarshalJSON()
+	if err != nil {
+		return err
+	}
+	return trace.WriteIndented(w, compact)
+}
+
+// MarshalJSON is the report's one encoding, compact. The trace and the
+// analysis are encoded compact too and spliced in as raw sections, so a
+// report is indented at most once, by whoever writes the finished
+// document (WriteJSON, or the server's result document around it).
+func (r *Report) MarshalJSON() ([]byte, error) {
 	doc := jsonReport{
 		App:                r.App,
 		UninstrumentedTime: r.UninstrumentedTime,
@@ -58,23 +71,18 @@ func (r *Report) WriteJSON(w io.Writer) error {
 		Baseline:           r.Baseline,
 		DeviceOps:          r.DeviceOps,
 	}
+	var err error
 	if r.Trace != nil {
-		var buf bytes.Buffer
-		if err := r.Trace.WriteJSON(&buf); err != nil {
-			return err
+		if doc.Trace, err = r.Trace.MarshalJSON(); err != nil {
+			return nil, err
 		}
-		doc.Trace = buf.Bytes()
 	}
 	if r.Analysis != nil {
-		var buf bytes.Buffer
-		if err := r.Analysis.WriteJSON(&buf); err != nil {
-			return err
+		if doc.Analysis, err = r.Analysis.MarshalJSON(); err != nil {
+			return nil, err
 		}
-		doc.Analysis = buf.Bytes()
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(&doc)
+	return json.Marshal(&doc)
 }
 
 // ReadReportJSON parses a report document written by WriteJSON back into a

@@ -20,7 +20,10 @@ import (
 // payload plus the text rendering byte-identical to the CLI's output for
 // the same request. Both are produced at completion time so a stored
 // document can be served in either format without re-materializing any
-// pipeline state.
+// pipeline state. The document is rendered once: runJob fills JSON with
+// the payload's compact encoding and indents the whole document in one
+// json.MarshalIndent, and those bytes are what the store persists, the
+// ledger digests and ?format=doc serves verbatim.
 type ResultDoc struct {
 	Kind  string   `json:"kind"`
 	App   string   `json:"app,omitempty"`
@@ -120,11 +123,9 @@ func (s *Server) runJob(ctx context.Context, eng *experiments.Engine, req Reques
 		if err != nil {
 			return nil, false, err
 		}
-		var payload bytes.Buffer
-		if err := rep.WriteJSON(&payload); err != nil {
+		if doc.JSON, err = rep.MarshalJSON(); err != nil {
 			return nil, false, err
 		}
-		doc.JSON = payload.Bytes()
 		if err := report.WriteMarkdown(&text, rep); err != nil {
 			return nil, false, err
 		}
@@ -155,11 +156,9 @@ func (s *Server) runJob(ctx context.Context, eng *experiments.Engine, req Reques
 		}
 		doc.App = rep.App
 		persist = false // replay results are request-shaped, not cacheable
-		var payload bytes.Buffer
-		if err := rep.WriteJSON(&payload); err != nil {
+		if doc.JSON, err = rep.MarshalJSON(); err != nil {
 			return nil, false, err
 		}
-		doc.JSON = payload.Bytes()
 		if err := report.WriteMarkdown(&text, rep); err != nil {
 			return nil, false, err
 		}
@@ -169,11 +168,9 @@ func (s *Server) runJob(ctx context.Context, eng *experiments.Engine, req Reques
 			return nil, false, err
 		}
 		persist = !fr.Partial
-		var payload bytes.Buffer
-		if err := fr.WriteJSON(&payload); err != nil {
+		if doc.JSON, err = json.Marshal(fr); err != nil {
 			return nil, false, err
 		}
-		doc.JSON = payload.Bytes()
 		if err := report.FleetTable(&text, fr); err != nil {
 			return nil, false, err
 		}
@@ -214,6 +211,9 @@ func (s *Server) runJob(ctx context.Context, eng *experiments.Engine, req Reques
 		return nil, false, fmt.Errorf("serve: unknown kind %q", req.Kind)
 	}
 	doc.Text = text.String()
+	// The one indentation pass over the finished document: every kind's
+	// payload is compact. MarshalIndent compacts a RawMessage before
+	// indenting, so the bytes are those an indented payload would give.
 	data, err = json.MarshalIndent(&doc, "", "  ")
 	return data, persist, err
 }
@@ -242,11 +242,14 @@ func (s *Server) traceFromStore(key string) ([]byte, error) {
 	return payload.Trace, nil
 }
 
+// errCorruptResult marks a result document that does not parse.
+var errCorruptResult = errors.New("serve: corrupt result document")
+
 // decodeResult parses a job's stored result document.
 func decodeResult(data []byte) (*ResultDoc, error) {
 	var doc ResultDoc
 	if err := json.Unmarshal(data, &doc); err != nil {
-		return nil, fmt.Errorf("serve: corrupt result document: %w", err)
+		return nil, fmt.Errorf("%w: %w", errCorruptResult, err)
 	}
 	return &doc, nil
 }

@@ -174,6 +174,12 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, j.View())
 }
 
+// handleReport serves a done job's result document. ?format=doc is a
+// pass-through: the stored bytes go out verbatim, never decoded. A
+// document this process rendered is valid JSON because json.MarshalIndent
+// made it; one loaded from the persistent store is checked with json.Valid
+// first, so a corrupt file is a 500 and never a 200 with torn bytes. The
+// json and text formats and ?proof=1 decode the document.
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	j := s.Job(id)
@@ -186,17 +192,27 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusConflict, errorBody{Error: fmt.Sprintf("job %s is %s, not done", j.ID, j.State())})
 		return
 	}
-	doc, err := decodeResult(data)
+	q := r.URL.Query()
+	format, proof := q.Get("format"), q.Get("proof") != ""
+	var doc *ResultDoc
+	var err error
+	if format == "doc" && !proof {
+		if j.isFromStore() && !json.Valid(data) {
+			err = errCorruptResult
+		}
+	} else {
+		doc, err = decodeResult(data)
+	}
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
 		return
 	}
 	s.setLedgerHeaders(w, j)
-	if r.URL.Query().Get("proof") != "" {
+	if proof {
 		s.writeProofEnvelope(w, j)
 		return
 	}
-	switch format := r.URL.Query().Get("format"); format {
+	switch format {
 	case "", "json":
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(doc.JSON)

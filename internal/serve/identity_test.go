@@ -5,6 +5,7 @@ package serve_test
 // would be an import cycle.
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"io"
@@ -38,22 +39,35 @@ func submitAndFetchText(t *testing.T, ts *httptest.Server, body string) string {
 	if resp.StatusCode != 202 && resp.StatusCode != 200 {
 		t.Fatalf("submit: status %d", resp.StatusCode)
 	}
-	deadline := time.Now().Add(60 * time.Second)
-	for v.Status != "done" {
-		if time.Now().After(deadline) {
-			t.Fatalf("job %s never done (status %s)", v.ID, v.Status)
-		}
-		time.Sleep(10 * time.Millisecond)
-		r2, err := http.Get(ts.URL + "/jobs/" + v.ID)
+	if v.Status != "done" {
+		// Follow the job's event stream to its terminal frame.
+		client := &http.Client{Timeout: 60 * time.Second}
+		r2, err := client.Get(ts.URL + "/jobs/" + v.ID + "/events")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := json.NewDecoder(r2.Body).Decode(&v); err != nil {
-			t.Fatal(err)
+		sc := bufio.NewScanner(r2.Body)
+		event, data := "", ""
+		for data == "" && sc.Scan() {
+			line := sc.Text()
+			switch {
+			case strings.HasPrefix(line, "event: "):
+				event = strings.TrimPrefix(line, "event: ")
+			case strings.HasPrefix(line, "data: ") && event == "done":
+				data = strings.TrimPrefix(line, "data: ")
+			}
+		}
+		if data != "" {
+			if err := json.Unmarshal([]byte(data), &v); err != nil {
+				t.Fatal(err)
+			}
 		}
 		r2.Body.Close()
 		if v.Status == "failed" || v.Status == "canceled" {
 			t.Fatalf("job %s ended %s", v.ID, v.Status)
+		}
+		if v.Status != "done" {
+			t.Fatalf("job %s never done (status %s)", v.ID, v.Status)
 		}
 	}
 	r3, err := http.Get(ts.URL + "/jobs/" + v.ID + "/report?format=text")

@@ -232,6 +232,14 @@ func (j *Job) Result() []byte {
 	return j.result
 }
 
+// isFromStore reports whether the job's result was loaded from the
+// persistent store rather than rendered by this process.
+func (j *Job) isFromStore() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.fromStore
+}
+
 // setRunning moves queued → running; false means the job already left the
 // queued state (e.g. canceled before a worker picked it up).
 func (j *Job) setRunning() bool {

@@ -52,20 +52,15 @@ func getStatus(t *testing.T, ts *httptest.Server, id string) View {
 	return v
 }
 
-// waitState polls until the job reaches a terminal state and returns it.
+// waitState follows the job's event stream to its terminal frame and
+// returns that view.
 func waitState(t *testing.T, ts *httptest.Server, id string) View {
 	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		v := getStatus(t, ts, id)
-		switch v.Status {
-		case StateDone, StateFailed, StateCanceled:
-			return v
-		}
-		time.Sleep(5 * time.Millisecond)
+	frames, _ := readSSE(t, ts.URL+"/jobs/"+id+"/events")
+	if len(frames) == 0 || frames[len(frames)-1].Event != "done" {
+		t.Fatalf("job %s never finished", id)
 	}
-	t.Fatalf("job %s never finished", id)
-	return View{}
+	return frames[len(frames)-1].View
 }
 
 // getReport fetches a completed job's report in the given format.

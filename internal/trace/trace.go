@@ -8,6 +8,7 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -103,13 +104,14 @@ type Run struct {
 	Records   []Record `json:"records,omitempty"`
 
 	// hashResolve, when set, lazily fills the Records' Hash fields the
-	// first time they are rendered (WriteJSON or ResolveHashes). Stage 3
-	// installs it so content hashes are computed only for runs whose
-	// records are actually exported; it must be idempotent. It writes the
-	// records, so it is not safe for concurrent use: a run shared between
-	// goroutines must be resolved before it is shared (the experiments
-	// report cache resolves every report before publishing it).
-	// Unexported, so it survives struct copies but never serializes.
+	// first time they are rendered (MarshalJSON, WriteJSON or
+	// ResolveHashes). Stage 3 installs it so content hashes are computed
+	// only for runs whose records are actually exported; it must be
+	// idempotent. It writes the records, so it is not safe for concurrent
+	// use: a run shared between goroutines must be resolved before it is
+	// shared (the experiments report cache resolves every report before
+	// publishing it). Unexported, so it survives struct copies but never
+	// serializes.
 	hashResolve func(*Run)
 }
 
@@ -125,14 +127,42 @@ func (r *Run) ResolveHashes() {
 	}
 }
 
+// runDoc is Run without its methods, so MarshalJSON can encode the fields
+// without recursing into itself.
+type runDoc Run
+
+// MarshalJSON is the run's one encoding: compact, stamped with
+// FormatVersion, lazy hashes resolved. WriteJSON indents it; documents
+// that embed the run (the ffm report) splice it in compact.
+func (r *Run) MarshalJSON() ([]byte, error) {
+	r.ResolveHashes()
+	stamped := runDoc(*r)
+	stamped.Format = FormatVersion
+	return json.Marshal(&stamped)
+}
+
 // WriteJSON serializes the run with indentation (the on-disk tool format).
 func (r *Run) WriteJSON(w io.Writer) error {
-	r.ResolveHashes()
-	stamped := *r
-	stamped.Format = FormatVersion
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(&stamped)
+	compact, err := r.MarshalJSON()
+	if err != nil {
+		return err
+	}
+	return WriteIndented(w, compact)
+}
+
+// WriteIndented writes a compact JSON encoding in the tool's on-disk
+// layout: two-space indentation and a trailing newline, byte-identical to
+// a json.Encoder with SetIndent("", "  ") encoding the same value. The
+// run, analysis and report writers each indent their one compact encoding
+// through here.
+func WriteIndented(w io.Writer, compact []byte) error {
+	var buf bytes.Buffer
+	if err := json.Indent(&buf, compact, "", "  "); err != nil {
+		return err
+	}
+	buf.WriteByte('\n')
+	_, err := w.Write(buf.Bytes())
+	return err
 }
 
 // ReadJSON parses a run written by WriteJSON. Files stamped with a newer
