@@ -157,9 +157,9 @@ type Stack struct {
 	// thousands of driver calls, so the same stack is snapshotted over and
 	// over; interning makes the steady-state cost of SharedSnapshot one
 	// hash of the frames instead of one allocation per traced call.
-	version     uint64           // bumped by every Push/Pop/SetLine
-	snapVersion uint64           // stack version snapTrace was taken at
-	snapTrace   Trace            // memoized snapshot for snapVersion
+	version     uint64             // bumped by every Push/Pop/SetLine
+	snapVersion uint64             // stack version snapTrace was taken at
+	snapTrace   Trace              // memoized snapshot for snapVersion
 	interned    map[uint64][]Trace // frame-content hash -> traces (collision chain)
 }
 

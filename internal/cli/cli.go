@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strings"
@@ -133,8 +132,6 @@ func Main(args []string, stdout, stderr io.Writer) int {
 		err = Discover(stdout)
 	case "timeline":
 		err = Timeline(stdout, rest)
-	case "obs":
-		err = Obs(stdout, rest)
 	case "serve":
 		err = Serve(stdout, rest)
 	case "verify-ledger":
@@ -162,10 +159,8 @@ func Main(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// exportObservations writes the invocation-level self-measurement outputs:
-// the optional global -trace/-metrics exports, plus the best-effort state
-// file `diogenes obs` reads back. Only commands that actually ran a
-// pipeline leave a non-empty observer; an empty one is never persisted.
+// exportObservations writes the invocation's self-measurement through the
+// global -trace/-metrics flags, the one way the tool exports it.
 func exportObservations(stdout, stderr io.Writer, o *obs.Observer, tracePath, metricsPath string) int {
 	if tracePath != "" {
 		if err := writeFile(tracePath, o.Trace().Chrome().Write); err != nil {
@@ -181,21 +176,7 @@ func exportObservations(stdout, stderr io.Writer, o *obs.Observer, tracePath, me
 		}
 		fmt.Fprintf(stdout, "self-measurement metrics exported to %s\n", metricsPath)
 	}
-	if !o.Empty() {
-		// Best-effort: a read-only filesystem must not fail the command.
-		_ = writeFile(obsStatePath(), o.WriteJSON)
-	}
 	return 0
-}
-
-// obsStatePath returns where the last run's observer state is persisted for
-// `diogenes obs`: $DIOGENES_OBS_STATE, or a fixed name under the system
-// temporary directory.
-func obsStatePath() string {
-	if p := os.Getenv("DIOGENES_OBS_STATE"); p != "" {
-		return p
-	}
-	return filepath.Join(os.TempDir(), "diogenes-last-obs.json")
 }
 
 func usage(w io.Writer) {
@@ -227,7 +208,6 @@ commands:
       -json file            export the analysis as JSON
       -report file          export the complete report as JSON — the input
                             the timeline explorer renders
-      -trace file           export the pipeline span trace (Chrome JSON)
       -records file         export the annotated trace (stage-4 records)
       -timeline file        export a chrome://tracing timeline
       -md file              export a Markdown findings report
@@ -236,11 +216,9 @@ commands:
   replay <trace.json>       re-drive the full pipeline from a captured trace;
                             the replayed analysis reproduces the original's
                             byte for byte
-      -trace file           trace file (alternative to the positional)
       -json file            export the replayed analysis as JSON
   fleet [app] [flags]       run the pipeline on every rank of an MPI app's
                             world and aggregate the findings across ranks
-      -app name             application name (alternative to the positional)
       -ranks n              world size (0 = the application's default)
       -scale f              workload scale (default 0.25)
       -json file            export the fleet report as JSON
@@ -257,21 +235,20 @@ commands:
       -o file               write the self-contained HTML here (default:
                             stdout)
       -model file           also export the raw timeline model JSON
-  obs [flags]               pretty-print the last run's self-measurement
-      -trace file           re-export its Chrome span trace
-      -metrics file         re-export its metrics text
-      -state file           read this state file instead of the default
   serve [flags]             run the pipeline as an HTTP analysis service
       -addr host:port       listen address (default 127.0.0.1:8377)
       -addr-file file       write the bound address here once listening
       -queue n              bounded job backlog; full means HTTP 429 (default 16)
       -workers n            concurrent jobs (0 = all cores)
+      -engine-workers n     per-job experiment engine width (default 1)
       -store dir            persistent report store directory
       -store-budget n       store LRU byte budget (0 = unbounded)
       -ledger-batch n       provenance ledger Merkle batch size (1 = seal
                             every append; default 64)
       -ledger-flush d       provenance ledger flush interval (default 2s;
                             negative disables the timer)
+      -cache-budget n       in-memory report cache budget in estimated
+                            resident bytes (0 = unbounded)
       -timeout d            default per-job execution cap
       -drain d              graceful-shutdown drain budget (default 30s)
   verify-ledger <dir>       audit a store directory against its provenance
@@ -322,7 +299,6 @@ func RunCmd(w io.Writer, eng *experiments.Engine, args []string) error {
 	steps := fs.Int("steps", 80, "generative family length (with -family)")
 	jsonPath := fs.String("json", "", "export analysis JSON to file")
 	reportPath := fs.String("report", "", "export the complete report JSON (timeline-explorer input) to file")
-	tracePath := fs.String("trace", "", "export the pipeline span trace (Chrome JSON) to file")
 	recordsPath := fs.String("records", "", "export annotated trace records JSON to file")
 	timelinePath := fs.String("timeline", "", "export a chrome://tracing timeline to file")
 	mdPath := fs.String("md", "", "export a Markdown findings report to file")
@@ -336,12 +312,6 @@ func RunCmd(w io.Writer, eng *experiments.Engine, args []string) error {
 	if name == "" && *family == "" {
 		return fmt.Errorf("run: application name or -family expected (see 'diogenes list')")
 	}
-	if eng.Obs == nil {
-		// Direct callers (tests) may pass a bare engine; -trace and the
-		// state file still need an observer on the pipeline.
-		eng.SetObserver(obs.New("diogenes"))
-	}
-
 	var rep *ffm.Report
 	var err error
 	if *family != "" {
@@ -420,12 +390,6 @@ func RunCmd(w io.Writer, eng *experiments.Engine, args []string) error {
 		}
 		fmt.Fprintf(w, "\nreport exported to %s\n", *reportPath)
 	}
-	if *tracePath != "" {
-		if err := writeFile(*tracePath, eng.Obs.Trace().Chrome().Write); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "\npipeline span trace exported to %s\n", *tracePath)
-	}
 	if *recordsPath != "" {
 		if err := writeFile(*recordsPath, rep.Trace.WriteJSON); err != nil {
 			return err
@@ -495,13 +459,9 @@ func Analyze(w io.Writer, args []string) error {
 func Replay(w io.Writer, eng *experiments.Engine, args []string) error {
 	path, args := takeName(args)
 	fs := newFlagSet("replay")
-	traceFlag := fs.String("trace", "", "captured trace file (alternative to the positional argument)")
 	jsonPath := fs.String("json", "", "export the replayed analysis as JSON")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if path == "" {
-		path = *traceFlag
 	}
 	if path == "" {
 		return fmt.Errorf("replay: trace file expected (capture one with 'diogenes run <app> -records file.json')")
@@ -515,18 +475,7 @@ func Replay(w io.Writer, eng *experiments.Engine, args []string) error {
 	if err != nil {
 		return err
 	}
-	if eng.Obs == nil {
-		eng.SetObserver(obs.New("diogenes"))
-	}
-	cfg := ffm.DefaultConfig()
-	cfg.Workers = eng.StageWorkers
-	cfg.Obs = eng.Obs
-	// Byte-identical reproduction needs the machine configuration the
-	// trace was captured on; registered applications carry theirs.
-	if f, ok := apps.FactoryFor(run.App); ok {
-		cfg.Factory = f
-	}
-	rep, err := ffm.Run(apps.NewReplayApp(run), cfg)
+	rep, err := eng.Replay(run)
 	if err != nil {
 		return err
 	}
@@ -602,15 +551,11 @@ func Table2(w io.Writer, eng *experiments.Engine, args []string) error {
 func Fleet(w io.Writer, eng *experiments.Engine, args []string) error {
 	name, args := takeName(args)
 	fs := newFlagSet("fleet")
-	appFlag := fs.String("app", "", "application name (alternative to the positional argument)")
 	ranks := fs.Int("ranks", 0, "world size (0 = the application's default)")
 	scale := fs.Float64("scale", 0.25, "workload scale")
 	jsonPath := fs.String("json", "", "export the fleet report as JSON")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if name == "" {
-		name = *appFlag
 	}
 	if name == "" {
 		return fmt.Errorf("fleet: application name expected (see 'diogenes list')")
@@ -719,52 +664,6 @@ func Verify(w io.Writer, eng *experiments.Engine, args []string) error {
 	// One rendering path shared with the serve API keeps the outputs
 	// byte-identical.
 	return report.AutofixTable(w, rows)
-}
-
-// Obs pretty-prints the persisted self-measurement of the most recent
-// pipeline-running invocation, and optionally re-exports its Chrome trace
-// or metrics text.
-func Obs(w io.Writer, args []string) error {
-	fs := newFlagSet("obs")
-	tracePath := fs.String("trace", "", "re-export the Chrome span trace to file")
-	metricsPath := fs.String("metrics", "", "re-export the metrics text to file")
-	statePath := fs.String("state", "", "observer state file to read (default: last run's)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	path := *statePath
-	if path == "" {
-		path = obsStatePath()
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return fmt.Errorf("obs: no recorded run at %s — run a pipeline command first (e.g. 'diogenes run rodinia_gaussian')", path)
-		}
-		return err
-	}
-	defer f.Close()
-	o, err := obs.ReadJSON(f)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "self-measurement of the last run (%s)\n\n", path)
-	if err := o.WriteSummary(w); err != nil {
-		return err
-	}
-	if *tracePath != "" {
-		if err := writeFile(*tracePath, o.Trace().Chrome().Write); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "\npipeline span trace exported to %s\n", *tracePath)
-	}
-	if *metricsPath != "" {
-		if err := writeFile(*metricsPath, o.WriteSummary); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "\nself-measurement metrics exported to %s\n", *metricsPath)
-	}
-	return nil
 }
 
 // Discover runs the §3.1 identification test and reports the funnel.

@@ -72,9 +72,9 @@ func TestRunCommandFullOutput(t *testing.T) {
 	tracePath := filepath.Join(dir, "t.json")
 	recordsPath := filepath.Join(dir, "r.json")
 	tlPath := filepath.Join(dir, "tl.json")
-	code, out, errOut := runMain(t, "run", "rodinia_gaussian",
+	code, out, errOut := runMain(t, "-trace", tracePath, "run", "rodinia_gaussian",
 		"-scale", "0.02", "-sub", "1:1",
-		"-json", jsonPath, "-trace", tracePath, "-records", recordsPath, "-timeline", tlPath)
+		"-json", jsonPath, "-records", recordsPath, "-timeline", tlPath)
 	if code != 0 {
 		t.Fatalf("exit = %d, stderr = %q", code, errOut)
 	}
@@ -352,16 +352,35 @@ func TestParallelFlagUnparseable(t *testing.T) {
 
 func TestUsageMentionsParallel(t *testing.T) {
 	_, _, errOut := runMain(t, "help")
-	for _, flag := range []string{"-parallel", "-trace", "-metrics", "-cpuprofile", "-memprofile", "obs"} {
+	for _, flag := range []string{"-parallel", "-trace", "-metrics", "-cpuprofile", "-memprofile"} {
 		if !strings.Contains(errOut, flag) {
 			t.Errorf("usage does not document %s", flag)
 		}
 	}
 }
 
+// TestRemovedInputsRejected pins the one-name-per-input surface: the
+// self-measurement export is only the global -trace/-metrics pair, and
+// positional inputs have no flag aliases.
+func TestRemovedInputsRejected(t *testing.T) {
+	if code, _, errOut := runMain(t, "obs"); code != 2 || !strings.Contains(errOut, `unknown command "obs"`) {
+		t.Fatalf("obs: exit %d, stderr %q", code, errOut)
+	}
+	for _, args := range [][]string{
+		{"run", "rodinia_gaussian", "-trace", "t.json"},
+		{"fleet", "-app", "amg"},
+		{"replay", "-trace", "r.json"},
+		{"timeline", "-in", "d.json"},
+	} {
+		code, _, errOut := runMain(t, args...)
+		if code != 1 || !strings.Contains(errOut, "flag provided but not defined") {
+			t.Errorf("%v: exit %d, stderr %q", args, code, errOut)
+		}
+	}
+}
+
 func TestGlobalTraceAndMetricsFlags(t *testing.T) {
 	dir := t.TempDir()
-	t.Setenv("DIOGENES_OBS_STATE", filepath.Join(dir, "state.json"))
 	tracePath := filepath.Join(dir, "trace.json")
 	metricsPath := filepath.Join(dir, "metrics.txt")
 	code, out, errOut := runMain(t,
@@ -406,63 +425,8 @@ func TestGlobalTraceAndMetricsFlags(t *testing.T) {
 	}
 }
 
-func TestObsCommandReadsLastRun(t *testing.T) {
-	dir := t.TempDir()
-	statePath := filepath.Join(dir, "state.json")
-	t.Setenv("DIOGENES_OBS_STATE", statePath)
-
-	// No state yet: friendly error pointing at a pipeline command.
-	code, _, errOut := runMain(t, "obs")
-	if code != 1 || !strings.Contains(errOut, "no recorded run") {
-		t.Fatalf("missing-state error wrong: code=%d stderr=%q", code, errOut)
-	}
-
-	if code, _, errOut := runMain(t, "run", "rodinia_gaussian", "-scale", "0.02"); code != 0 {
-		t.Fatalf("run failed: %s", errOut)
-	}
-	if fi, err := os.Stat(statePath); err != nil || fi.Size() == 0 {
-		t.Fatalf("run did not persist observer state: %v", err)
-	}
-
-	reTrace := filepath.Join(dir, "re.json")
-	code, out, errOut := runMain(t, "obs", "-trace", reTrace)
-	if code != 0 {
-		t.Fatalf("obs failed: %s", errOut)
-	}
-	for _, want := range []string{
-		"self-measurement of the last run",
-		"== pipeline spans ==",
-		"rodinia_gaussian",
-		"Self-overhead",
-		"== metrics ==",
-		"pipeline span trace exported to",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("obs output missing %q:\n%s", want, out)
-		}
-	}
-	f, err := os.Open(reTrace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	cf, err := obs.ReadChrome(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cf.EventsNamed("stage4-sync-use")) == 0 {
-		t.Fatal("re-exported trace lost the pipeline spans")
-	}
-
-	// An explicit -state path overrides the default.
-	if code, out, _ := runMain(t, "obs", "-state", statePath); code != 0 || !strings.Contains(out, statePath) {
-		t.Fatalf("obs -state failed: code=%d", code)
-	}
-}
-
 func TestProfileFlagsWriteFiles(t *testing.T) {
 	dir := t.TempDir()
-	t.Setenv("DIOGENES_OBS_STATE", filepath.Join(dir, "state.json"))
 	cpuPath := filepath.Join(dir, "cpu.pprof")
 	memPath := filepath.Join(dir, "mem.pprof")
 	code, _, errOut := runMain(t,

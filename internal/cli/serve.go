@@ -3,6 +3,7 @@ package cli
 import (
 	"context"
 	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"net"
@@ -24,56 +25,61 @@ func Serve(w io.Writer, args []string) error {
 	return serveWithContext(ctx, w, args)
 }
 
+// serveArgs is what the serve command's flags set: the server options
+// plus the listener settings that live outside the server.
+type serveArgs struct {
+	serve.Options
+	addr, addrFile string
+	drain          time.Duration
+}
+
+// flags declares the serve command's flags, bound into a.
+func (a *serveArgs) flags() *flag.FlagSet {
+	fs := newFlagSet("serve")
+	fs.StringVar(&a.addr, "addr", "127.0.0.1:8377", "listen address (host:port; port 0 picks one)")
+	fs.StringVar(&a.addrFile, "addr-file", "", "write the bound address to this file once listening")
+	fs.IntVar(&a.QueueCapacity, "queue", 16, "bounded job backlog; beyond it submissions get HTTP 429")
+	fs.IntVar(&a.Workers, "workers", 0, "concurrent jobs (0 = all cores)")
+	fs.IntVar(&a.EngineWorkers, "engine-workers", 1, "default per-job experiment engine width")
+	fs.StringVar(&a.StoreDir, "store", "", "persistent report store directory (empty = in-memory only)")
+	fs.Int64Var(&a.StoreBudget, "store-budget", 0, "store LRU byte budget (0 = unbounded)")
+	fs.IntVar(&a.LedgerBatch, "ledger-batch", 0, "provenance ledger Merkle batch size (1 = seal every append; 0 = default 64)")
+	fs.DurationVar(&a.LedgerFlush, "ledger-flush", 0, "provenance ledger flush interval (0 = default 2s; negative disables the timer)")
+	fs.Int64Var(&a.CacheBudget, "cache-budget", 0, "in-memory report cache budget in estimated resident bytes (0 = unbounded)")
+	fs.DurationVar(&a.DefaultTimeout, "timeout", 0, "default per-job execution cap (0 = none)")
+	fs.DurationVar(&a.drain, "drain", 30*time.Second, "graceful-shutdown drain budget")
+	return fs
+}
+
 // serveWithContext is Serve with an injectable lifetime, the test seam.
 func serveWithContext(ctx context.Context, w io.Writer, args []string) error {
-	fs := newFlagSet("serve")
-	addr := fs.String("addr", "127.0.0.1:8377", "listen address (host:port; port 0 picks one)")
-	addrFile := fs.String("addr-file", "", "write the bound address to this file once listening")
-	queueCap := fs.Int("queue", 16, "bounded job backlog; beyond it submissions get HTTP 429")
-	workers := fs.Int("workers", 0, "concurrent jobs (0 = all cores)")
-	engineWorkers := fs.Int("engine-workers", 1, "default per-job experiment engine width")
-	storeDir := fs.String("store", "", "persistent report store directory (empty = in-memory only)")
-	storeBudget := fs.Int64("store-budget", 0, "store LRU byte budget (0 = unbounded)")
-	ledgerBatch := fs.Int("ledger-batch", 0, "provenance ledger Merkle batch size (1 = seal every append; 0 = default 64)")
-	ledgerFlush := fs.Duration("ledger-flush", 0, "provenance ledger flush interval (0 = default 2s; negative disables the timer)")
-	cacheBudget := fs.Int64("cache-budget", 0, "in-memory report cache budget in estimated resident bytes (0 = unbounded)")
-	timeout := fs.Duration("timeout", 0, "default per-job execution cap (0 = none)")
-	drain := fs.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")
+	var a serveArgs
+	fs := a.flags()
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() > 0 {
 		return fmt.Errorf("serve: unexpected argument %q", fs.Arg(0))
 	}
-	srv, err := serve.New(serve.Options{
-		Workers:        *workers,
-		QueueCapacity:  *queueCap,
-		EngineWorkers:  *engineWorkers,
-		DefaultTimeout: *timeout,
-		StoreDir:       *storeDir,
-		StoreBudget:    *storeBudget,
-		LedgerBatch:    *ledgerBatch,
-		LedgerFlush:    *ledgerFlush,
-		CacheBudget:    *cacheBudget,
-	})
+	srv, err := serve.New(a.Options)
 	if err != nil {
 		return err
 	}
 
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", a.addr)
 	if err != nil {
 		return err
 	}
 	bound := ln.Addr().String()
-	if *addrFile != "" {
-		if err := os.WriteFile(*addrFile, []byte(bound+"\n"), 0o644); err != nil {
+	if a.addrFile != "" {
+		if err := os.WriteFile(a.addrFile, []byte(bound+"\n"), 0o644); err != nil {
 			ln.Close()
 			return fmt.Errorf("serve: -addr-file: %w", err)
 		}
 	}
-	fmt.Fprintf(w, "diogenes serve listening on http://%s (queue %d", bound, *queueCap)
-	if *storeDir != "" {
-		fmt.Fprintf(w, ", store %s", *storeDir)
+	fmt.Fprintf(w, "diogenes serve listening on http://%s (queue %d", bound, a.QueueCapacity)
+	if a.StoreDir != "" {
+		fmt.Fprintf(w, ", store %s", a.StoreDir)
 	}
 	fmt.Fprintln(w, ")")
 
@@ -87,8 +93,8 @@ func serveWithContext(ctx context.Context, w io.Writer, args []string) error {
 	case <-ctx.Done():
 	}
 
-	fmt.Fprintf(w, "diogenes serve: shutting down, draining accepted jobs (budget %s) ...\n", *drain)
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drain)
+	fmt.Fprintf(w, "diogenes serve: shutting down, draining accepted jobs (budget %s) ...\n", a.drain)
+	drainCtx, cancel := context.WithTimeout(context.Background(), a.drain)
 	defer cancel()
 	// Drain the job queue first — in-flight reports persist — then close
 	// the HTTP side.

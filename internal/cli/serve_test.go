@@ -1,8 +1,10 @@
 package cli
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
+	"flag"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -74,18 +76,23 @@ func TestServeEndToEnd(t *testing.T) {
 		t.Fatalf("submit: status %d", resp.StatusCode)
 	}
 
-	deadline := time.Now().Add(60 * time.Second)
-	for job.Status != "done" {
-		if time.Now().After(deadline) {
-			t.Fatalf("job %s stuck at %s", job.ID, job.Status)
+	// Follow the job's event stream to its terminal frame, whose data line
+	// is the job's final view.
+	ev, err := (&http.Client{Timeout: 60 * time.Second}).Get(base + "/jobs/" + job.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := bufio.NewScanner(ev.Body)
+	for sc.Scan() && sc.Text() != "event: done" {
+	}
+	if sc.Scan() {
+		if err := json.Unmarshal([]byte(strings.TrimPrefix(sc.Text(), "data: ")), &job); err != nil {
+			t.Fatalf("terminal frame: %v", err)
 		}
-		time.Sleep(10 * time.Millisecond)
-		r, err := http.Get(base + "/jobs/" + job.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		json.NewDecoder(r.Body).Decode(&job)
-		r.Body.Close()
+	}
+	ev.Body.Close()
+	if job.Status != "done" {
+		t.Fatalf("job %s stuck at %s", job.ID, job.Status)
 	}
 
 	r, err := http.Get(base + "/jobs/" + job.ID + "/report?format=text")
@@ -166,6 +173,24 @@ func TestVersionString(t *testing.T) {
 	if got := buildinfo.String(info, true); got != want {
 		t.Fatalf("buildinfo.String = %q, want %q", got, want)
 	}
+}
+
+// TestUsageDocumentsEveryServeFlag keeps the serve block of `diogenes
+// help` in step with the flags serve registers.
+func TestUsageDocumentsEveryServeFlag(t *testing.T) {
+	_, _, errOut := runMain(t, "help")
+	start := strings.Index(errOut, "\n  serve [flags]")
+	end := strings.Index(errOut, "\n  verify-ledger ")
+	if start < 0 || end < start {
+		t.Fatalf("usage has no serve block:\n%s", errOut)
+	}
+	block := errOut[start:end]
+	var a serveArgs
+	a.flags().VisitAll(func(f *flag.Flag) {
+		if !strings.Contains(block, "\n      -"+f.Name+" ") {
+			t.Errorf("usage does not document serve -%s", f.Name)
+		}
+	})
 }
 
 func TestUsageMentionsServeAndVersion(t *testing.T) {

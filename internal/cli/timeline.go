@@ -22,14 +22,10 @@ import (
 func Timeline(w io.Writer, args []string) error {
 	path, args := takeName(args)
 	fs := newFlagSet("timeline")
-	inFlag := fs.String("in", "", "input document (alternative to the positional argument)")
 	outPath := fs.String("o", "", "write the explorer HTML here (default: stdout)")
 	modelPath := fs.String("model", "", "also export the raw timeline model JSON")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if path == "" {
-		path = *inFlag
 	}
 	if path == "" {
 		return fmt.Errorf("timeline: input document expected (a 'run -report', 'fleet -json' or 'run -records' export)")

@@ -12,6 +12,7 @@ import (
 	"diogenes/internal/proc"
 	"diogenes/internal/sched"
 	"diogenes/internal/simtime"
+	"diogenes/internal/trace"
 )
 
 // Engine executes the evaluation suites on the sched worker pool, with an
@@ -111,6 +112,21 @@ func (e *Engine) RunApp(name string, scale float64) (*ffm.Report, error) {
 		}
 	}
 	return run()
+}
+
+// Replay re-drives the full FFM pipeline from a captured trace: the trace
+// becomes an executable application whose analysis reproduces the
+// original's byte for byte. Replays are request-shaped and never cached.
+func (e *Engine) Replay(run *trace.Run) (*ffm.Report, error) {
+	cfg := ffm.DefaultConfig()
+	cfg.Workers = e.StageWorkers
+	cfg.Obs = e.Obs
+	// Byte-identical reproduction needs the machine configuration the
+	// trace was captured on; registered applications carry theirs.
+	if f, ok := apps.FactoryFor(run.App); ok {
+		cfg.Factory = f
+	}
+	return ffm.Run(apps.NewReplayApp(run), cfg)
 }
 
 // ActualReduction measures the real benefit of the paper's fix, caching

@@ -100,13 +100,13 @@ type Ledger struct {
 	batchSize  int
 	flushEvery time.Duration
 
-	seq       uint64      // last assigned sequence number
-	sealedSeq uint64      // last sequence covered by a sealed batch
-	chain     [32]byte    // head commitment over sealed roots
-	roots     [][32]byte  // sealed batch roots, in order
-	chains    [][32]byte  // chain value after each sealed batch
-	starts    []uint64    // first sequence of each sealed batch
-	leaves    []leafRec   // every entry, index seq-1
+	seq       uint64     // last assigned sequence number
+	sealedSeq uint64     // last sequence covered by a sealed batch
+	chain     [32]byte   // head commitment over sealed roots
+	roots     [][32]byte // sealed batch roots, in order
+	chains    [][32]byte // chain value after each sealed batch
+	starts    []uint64   // first sequence of each sealed batch
+	leaves    []leafRec  // every entry, index seq-1
 	latest    map[string]uint64
 	open      []leafRec // entries awaiting seal
 

@@ -308,8 +308,8 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
-// RegistrySnapshot is a point-in-time copy of a registry, used for
-// persistence and cross-run comparison.
+// RegistrySnapshot is a point-in-time copy of a registry: what the text
+// and Prometheus exports and the benchmark harness read.
 type RegistrySnapshot struct {
 	Counters   map[string]int64             `json:"counters,omitempty"`
 	Gauges     map[string]float64           `json:"gauges,omitempty"`
@@ -387,30 +387,4 @@ func (r *Registry) Snapshot() *RegistrySnapshot {
 		snap.Histograms[k] = HistogramSnapshot{Count: v.Count(), Sum: v.Sum(), Buckets: v.BucketCounts()}
 	}
 	return snap
-}
-
-// RegistryFromSnapshot reconstructs a registry from a snapshot (loading a
-// persisted run for display).
-func RegistryFromSnapshot(snap *RegistrySnapshot) *Registry {
-	r := NewRegistry()
-	if snap == nil {
-		return r
-	}
-	for k, v := range snap.Counters {
-		r.Counter(k).Add(v)
-	}
-	for k, v := range snap.Gauges {
-		r.Gauge(k).Set(v)
-	}
-	for k, hs := range snap.Histograms {
-		h := r.Histogram(k)
-		h.count.Store(hs.Count)
-		h.sum.Store(hs.Sum)
-		for i, n := range hs.Buckets {
-			if i < HistBuckets {
-				h.buckets[i].Store(n)
-			}
-		}
-	}
-	return r
 }

@@ -263,17 +263,6 @@ func (s *Span) SetRow(row int) {
 	s.t.mu.Unlock()
 }
 
-// SetWall overrides the wall-time duration (used when reconstructing a
-// trace from its serialized form).
-func (s *Span) SetWall(d time.Duration) {
-	if s == nil {
-		return
-	}
-	s.t.mu.Lock()
-	s.wall = d
-	s.t.mu.Unlock()
-}
-
 // SetArg attaches a key/value annotation. Values are canonicalized to
 // strings immediately so the export is deterministic.
 func (s *Span) SetArg(key string, value any) {

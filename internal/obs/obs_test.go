@@ -280,75 +280,6 @@ func TestConcurrentSpanCreation(t *testing.T) {
 	}
 }
 
-// TestPersistRoundTrip proves WriteJSON → ReadJSON preserves the full
-// display surface: the Chrome export, the metrics dump and the overhead
-// reports all survive byte-for-byte.
-func TestPersistRoundTrip(t *testing.T) {
-	o := buildTree(false)
-	o.Metrics().Counter("cuda/syncs").Add(42)
-	o.Metrics().Gauge("sched/utilization_pct").Set(87.5)
-	o.Metrics().Histogram("cuda/sync_wait_ns").Observe(1500)
-
-	var state bytes.Buffer
-	if err := o.WriteJSON(&state); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadJSON(bytes.NewReader(state.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var wantChrome, gotChrome bytes.Buffer
-	if err := o.Trace().Chrome().Write(&wantChrome); err != nil {
-		t.Fatal(err)
-	}
-	if err := back.Trace().Chrome().Write(&gotChrome); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(wantChrome.Bytes(), gotChrome.Bytes()) {
-		t.Fatalf("chrome export changed across persistence:\n%s\nvs\n%s", wantChrome.String(), gotChrome.String())
-	}
-
-	var wantMet, gotMet bytes.Buffer
-	if err := o.Metrics().Write(&wantMet); err != nil {
-		t.Fatal(err)
-	}
-	if err := back.Metrics().Write(&gotMet); err != nil {
-		t.Fatal(err)
-	}
-	if wantMet.String() != gotMet.String() {
-		t.Fatalf("metrics changed across persistence:\n%s\nvs\n%s", wantMet.String(), gotMet.String())
-	}
-
-	so := back.SelfOverheads()
-	if len(so) != 1 || so[0].App != "demo" || so[0].Reference != 100 {
-		t.Fatalf("overheads lost: %+v", so)
-	}
-	if m := so[0].Multiple(); m != 1.0 {
-		t.Fatalf("overhead multiple = %g, want 1.0", m)
-	}
-
-	// A second write of the reconstructed observer is byte-identical: the
-	// persisted form itself is canonical.
-	var state2 bytes.Buffer
-	if err := back.WriteJSON(&state2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(state.Bytes(), state2.Bytes()) {
-		t.Fatal("persisted state is not canonical across a round trip")
-	}
-}
-
-// TestReadJSONRejectsNewerFormat guards the state-file version gate.
-func TestReadJSONRejectsNewerFormat(t *testing.T) {
-	if _, err := ReadJSON(bytes.NewReader([]byte(`{"format": 999}`))); err == nil {
-		t.Fatal("newer format accepted")
-	}
-	if _, err := ReadJSON(bytes.NewReader([]byte(`not json`))); err == nil {
-		t.Fatal("garbage accepted")
-	}
-}
-
 // TestWriteSummaryEmpty checks the empty-observer display path.
 func TestWriteSummaryEmpty(t *testing.T) {
 	var buf bytes.Buffer

@@ -8,10 +8,8 @@ import (
 	"fmt"
 	"time"
 
-	"diogenes/internal/apps"
 	"diogenes/internal/autofix"
 	"diogenes/internal/experiments"
-	"diogenes/internal/ffm"
 	"diogenes/internal/report"
 	"diogenes/internal/trace"
 )
@@ -142,15 +140,7 @@ func (s *Server) runJob(ctx context.Context, eng *experiments.Engine, req Reques
 		if err != nil {
 			return nil, false, fmt.Errorf("serve: replay trace: %w", err)
 		}
-		cfg := ffm.DefaultConfig()
-		cfg.Workers = eng.StageWorkers
-		cfg.Obs = eng.Obs
-		// Byte-identical reproduction needs the machine configuration the
-		// trace was captured on; registered applications carry theirs.
-		if f, ok := apps.FactoryFor(run.App); ok {
-			cfg.Factory = f
-		}
-		rep, err := ffm.Run(apps.NewReplayApp(run), cfg)
+		rep, err := eng.Replay(run)
 		if err != nil {
 			return nil, false, err
 		}
