@@ -40,13 +40,17 @@ import (
 // use scale 1.0.
 const benchScale = 0.1
 
+// benchEngine runs the single-application benchmarks: serial and uncached,
+// so every iteration is a real pipeline run.
+var benchEngine = &experiments.Engine{Workers: 1}
+
 // --- Table 1: per-application estimated vs actual benefit -----------------
 
 func benchTable1(b *testing.B, app string) {
 	var row *experiments.Table1Row
 	for i := 0; i < b.N; i++ {
 		var err error
-		row, err = experiments.Table1For(app, benchScale)
+		row, err = benchEngine.Table1For(app, benchScale)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -70,7 +74,7 @@ func BenchmarkTable1Accuracy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sum = 0
 		for _, app := range []string{"cumf_als", "cuibm", "amg", "rodinia_gaussian"} {
-			row, err := experiments.Table1For(app, benchScale)
+			row, err := benchEngine.Table1For(app, benchScale)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -86,7 +90,7 @@ func benchTable2(b *testing.B, app, fn string) {
 	var rows []experiments.Table2Row
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiments.Table2For(app, benchScale)
+		rows, err = benchEngine.Table2For(app, benchScale)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -205,7 +209,7 @@ func BenchmarkFigure5Algorithm(b *testing.B) {
 
 func cumfAnalysis(b *testing.B) *ffm.Analysis {
 	b.Helper()
-	rep, err := experiments.RunApp("cumf_als", benchScale)
+	rep, err := benchEngine.RunApp("cumf_als", benchScale)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -237,7 +241,7 @@ func BenchmarkFigure6(b *testing.B) {
 // BenchmarkFigure7 regenerates the cuIBM overview and cudaFree fold
 // expansion (paper: fold on cudaFree 22.52%, contiguous_storage 10.84%).
 func BenchmarkFigure7(b *testing.B) {
-	rep, err := experiments.RunApp("cuibm", benchScale)
+	rep, err := benchEngine.RunApp("cuibm", benchScale)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -295,7 +299,7 @@ func benchOverhead(b *testing.B, app string) {
 	var rep *ffm.Report
 	for i := 0; i < b.N; i++ {
 		var err error
-		rep, err = experiments.RunApp(app, benchScale)
+		rep, err = benchEngine.RunApp(app, benchScale)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -355,7 +359,7 @@ func BenchmarkGraphBuild(b *testing.B) {
 
 func BenchmarkFullPipelineRodinia(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunApp("rodinia_gaussian", 0.05); err != nil {
+		if _, err := benchEngine.RunApp("rodinia_gaussian", 0.05); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -408,7 +412,7 @@ func BenchmarkLedgerAppendMerkle64(b *testing.B) { benchLedgerAppend(b, 64) }
 // (a ~2.3 MB document): one compact encoding, indented once. The CI gate
 // is on B/op, which does not depend on host speed.
 func BenchmarkReportRender(b *testing.B) {
-	rep, err := experiments.RunApp("cumf_als", 0.25)
+	rep, err := benchEngine.RunApp("cumf_als", 0.25)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -555,7 +559,7 @@ func BenchmarkAblationStage2Timing(b *testing.B) {
 // plan from an analysis, apply by call elision, validate with the §5.1
 // mprotect guard.
 func BenchmarkAutofix(b *testing.B) {
-	rep, err := experiments.RunApp("cumf_als", benchScale)
+	rep, err := benchEngine.RunApp("cumf_als", benchScale)
 	if err != nil {
 		b.Fatal(err)
 	}

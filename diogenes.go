@@ -107,7 +107,7 @@ func WorkloadByName(name string) (Workload, error) { return apps.ByName(name) }
 // RunWorkload runs the pipeline on a named workload at the given scale
 // (1.0 = full modelled size) using that workload's machine configuration.
 func RunWorkload(name string, scale float64) (*Report, error) {
-	return experiments.RunApp(name, scale)
+	return (&experiments.Engine{Workers: 1}).RunApp(name, scale)
 }
 
 // WriteOverview renders the Figure 7 overview display for an analysis.

@@ -31,8 +31,9 @@ func main() {
 		}
 	}
 
+	eng := &experiments.Engine{Workers: 1}
 	for i, name := range names {
-		rows, err := experiments.Table2For(name, *scale)
+		rows, err := eng.Table2For(name, *scale)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -223,7 +223,7 @@ func TestAutofixOnModelledApps(t *testing.T) {
 	// End-to-end: plan and apply on the paper's workloads; all plans must
 	// validate and realize positive benefit.
 	for _, name := range []string{"cumf_als", "rodinia_gaussian"} {
-		rep, err := experiments.RunApp(name, 0.02)
+		rep, err := (&experiments.Engine{Workers: 1}).RunApp(name, 0.02)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -288,7 +288,7 @@ func TestPropertyAutofixOnRandomApps(t *testing.T) {
 // the manual fix (it cannot hoist allocations or restructure code, only
 // elide calls).
 func TestAutofixVersusManualFix(t *testing.T) {
-	rows, err := Table(0.05)
+	rows, err := TableWith(&experiments.Engine{Workers: 1}, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,25 +6,16 @@ import (
 	"diogenes/internal/proc"
 )
 
-// EvaluateApp plans and applies the automatic correction for one modelled
-// application, producing the comparison row AutofixTable consumes.
-func EvaluateApp(name string, scale float64) (*experiments.AutofixRow, error) {
-	return EvaluateAppWith(nil, name, scale)
-}
-
-// EvaluateAppWith is EvaluateApp sourcing the pipeline report from an
-// engine (cached and stage-parallel when the engine is); a nil engine runs
-// the serial uncached pipeline.
+// EvaluateAppWith plans and applies the automatic correction for one
+// modelled application, producing the comparison row the engine's
+// AutofixTable consumes. The pipeline report comes from the engine (cached
+// and stage-parallel when the engine is).
 func EvaluateAppWith(e *experiments.Engine, name string, scale float64) (*experiments.AutofixRow, error) {
 	spec, err := apps.ByName(name)
 	if err != nil {
 		return nil, err
 	}
-	runApp := experiments.RunApp
-	if e != nil {
-		runApp = e.RunApp
-	}
-	rep, err := runApp(name, scale)
+	rep, err := e.RunApp(name, scale)
 	if err != nil {
 		return nil, err
 	}
@@ -49,13 +40,9 @@ func EvaluateAppWith(e *experiments.Engine, name string, scale float64) (*experi
 	return row, nil
 }
 
-// Table runs EvaluateApp over the four modelled applications.
-func Table(scale float64) ([]experiments.AutofixRow, error) {
-	return experiments.AutofixTable(scale, EvaluateApp)
-}
-
-// TableWith is Table on an engine: one worker per application, pipeline
-// reports shared with any table1/table2 runs through the same cache.
+// TableWith runs EvaluateAppWith over the four modelled applications on an
+// engine: one worker per application, pipeline reports shared with any
+// table1/table2 runs through the same cache.
 func TableWith(e *experiments.Engine, scale float64) ([]experiments.AutofixRow, error) {
 	return e.AutofixTable(scale, func(name string, scale float64) (*experiments.AutofixRow, error) {
 		return EvaluateAppWith(e, name, scale)

@@ -315,14 +315,7 @@ func RunCmd(w io.Writer, eng *experiments.Engine, args []string) error {
 	var rep *ffm.Report
 	var err error
 	if *family != "" {
-		fam, ferr := apps.FamilyByName(*family)
-		if ferr != nil {
-			return ferr
-		}
-		cfg := ffm.DefaultConfig()
-		cfg.Workers = eng.StageWorkers
-		cfg.Obs = eng.Obs
-		rep, err = ffm.Run(fam.New(*seed, *steps, cfg.Factory), cfg)
+		rep, err = eng.RunFamily(*family, *seed, *steps)
 	} else {
 		rep, err = eng.RunApp(name, *scale)
 	}

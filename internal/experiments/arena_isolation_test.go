@@ -38,7 +38,7 @@ func TestConcurrentRunAppsIsolatedRecordSlabs(t *testing.T) {
 			// Cache nil: every goroutine runs a full pipeline of its own,
 			// allocating and releasing record slabs concurrently with the
 			// other seven.
-			eng := &Engine{Workers: 1, StageWorkers: 2}
+			eng := &Engine{Workers: 2}
 			rep, err := eng.RunApp(app, goldenScale)
 			if err != nil {
 				errs[i] = err

@@ -18,8 +18,9 @@ func TestCalibrate(t *testing.T) {
 		t.Skip("pass -calibrate to print the reproduction tables")
 	}
 	scale := 0.25
+	eng := &Engine{Workers: 1}
 	for _, name := range []string{"cumf_als", "cuibm", "amg", "rodinia_gaussian"} {
-		row, err := Table1For(name, scale)
+		row, err := eng.Table1For(name, scale)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -27,7 +28,7 @@ func TestCalibrate(t *testing.T) {
 			row.App, row.Estimated.Seconds(), row.EstimatedPct, row.PaperEstPct,
 			row.Actual.Seconds(), row.ActualPct, row.PaperActPct, row.Accuracy, row.Overhead)
 
-		rows, err := Table2For(name, scale)
+		rows, err := eng.Table2For(name, scale)
 		if err != nil {
 			t.Fatalf("%s table2: %v", name, err)
 		}

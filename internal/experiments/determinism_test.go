@@ -11,6 +11,7 @@ import (
 	"diogenes/internal/apps"
 	"diogenes/internal/ffm"
 	"diogenes/internal/proc"
+	"diogenes/internal/trace"
 )
 
 // updateGolden rewrites the committed golden files from the current serial
@@ -42,31 +43,56 @@ func analysisJSON(t *testing.T, rep *ffm.Report) []byte {
 }
 
 // TestParallelReportByteIdentical is the headline determinism claim: for
-// every modelled application, the parallel engine (stage-2 concurrent with
-// stages 3→4, apps fanned out over four workers) produces a Report whose
-// complete JSON serialization — baseline, annotated trace, device ops,
-// stage times, analysis — is byte-identical to the serial pipeline's.
+// every modelled application, a generative family member and a replayed
+// trace, the parallel engine (stage-2 concurrent with stages 3→4, apps
+// fanned out over four workers) produces a Report whose complete JSON
+// serialization — baseline, annotated trace, device ops, stage times,
+// analysis — is byte-identical to the serial engine's.
 func TestParallelReportByteIdentical(t *testing.T) {
 	serial := &Engine{Workers: 1}
 	parallel := NewEngine(4)
+	check := func(t *testing.T, run func(*Engine) (*ffm.Report, error)) {
+		t.Helper()
+		sRep, err := run(serial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pRep, err := run(parallel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sBytes, pBytes := reportJSON(t, sRep), reportJSON(t, pRep)
+		if !bytes.Equal(sBytes, pBytes) {
+			t.Fatalf("parallel report differs from serial (serial %d bytes, parallel %d bytes)",
+				len(sBytes), len(pBytes))
+		}
+	}
 	for _, spec := range apps.Registry() {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
-			sRep, err := serial.RunApp(spec.Name, goldenScale)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pRep, err := parallel.RunApp(spec.Name, goldenScale)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sBytes, pBytes := reportJSON(t, sRep), reportJSON(t, pRep)
-			if !bytes.Equal(sBytes, pBytes) {
-				t.Fatalf("parallel report differs from serial (serial %d bytes, parallel %d bytes)",
-					len(sBytes), len(pBytes))
-			}
+			check(t, func(e *Engine) (*ffm.Report, error) { return e.RunApp(spec.Name, goldenScale) })
 		})
 	}
+	t.Run("family/random", func(t *testing.T) {
+		check(t, func(e *Engine) (*ffm.Report, error) { return e.RunFamily("random", 7, 40) })
+	})
+	t.Run("replay/rodinia_gaussian", func(t *testing.T) {
+		rep, err := serial.RunApp("rodinia_gaussian", goldenScale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var records bytes.Buffer
+		if err := rep.Trace.WriteJSON(&records); err != nil {
+			t.Fatal(err)
+		}
+		check(t, func(e *Engine) (*ffm.Report, error) {
+			run, err := trace.ReadJSON(bytes.NewReader(records.Bytes()))
+			if err != nil {
+				return nil, err
+			}
+			return e.Replay(run)
+		})
+	})
 }
 
 // TestAnalysisGolden pins every application's serial analysis JSON to a
@@ -103,10 +129,10 @@ func TestAnalysisGolden(t *testing.T) {
 }
 
 // TestParallelTable1MatchesSerial asserts the whole Table 1 — every row,
-// every field — is identical between the serial package path and a
-// four-worker engine.
+// every field — is identical between a serial engine and a four-worker
+// engine.
 func TestParallelTable1MatchesSerial(t *testing.T) {
-	serialRows, err := Table1(goldenScale)
+	serialRows, err := (&Engine{Workers: 1}).Table1(goldenScale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,9 +149,10 @@ func TestParallelTable1MatchesSerial(t *testing.T) {
 // which exercises the profiler comparators alongside the cached pipeline.
 func TestParallelTable2MatchesSerial(t *testing.T) {
 	names := []string{"rodinia_gaussian", "amg"}
+	serial := &Engine{Workers: 1}
 	var serialSections [][]Table2Row
 	for _, n := range names {
-		rows, err := Table2For(n, goldenScale)
+		rows, err := serial.Table2For(n, goldenScale)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,19 +15,18 @@ import (
 	"diogenes/internal/trace"
 )
 
-// Engine executes the evaluation suites on the sched worker pool, with an
-// optional content-addressed report cache shared across suites. Results
-// are byte-identical to the serial package-level functions for any worker
-// count: each pipeline and each pipeline stage runs the application in its
-// own fresh process on its own virtual clock, and result slices keep
-// registry order regardless of completion order.
+// Engine is the one way to run a pipeline: it executes single runs and the
+// evaluation suites on the sched worker pool, with an optional
+// content-addressed report cache shared across suites. Results are
+// byte-identical at every width: each pipeline and each pipeline stage
+// runs the application in its own fresh process on its own virtual clock,
+// and result slices keep registry order regardless of completion order.
 type Engine struct {
-	// Workers bounds how many independent experiment apps run at once.
-	// 0 selects GOMAXPROCS; 1 is serial.
+	// Workers bounds how many independent experiment apps run at once,
+	// and is the only parallelism setting: every width other than 1 also
+	// overlaps the stages inside each pipeline (stageWidth). 0 selects
+	// GOMAXPROCS; 1 is serial.
 	Workers int
-	// StageWorkers is passed through to ffm.Config.Workers: ≥2 runs the
-	// post-baseline collection stages of each pipeline concurrently.
-	StageWorkers int
 	// Cache, when non-nil, memoizes pipeline reports and uninstrumented
 	// runtimes across Table1/Table2/autofix calls.
 	Cache *ReportCache
@@ -61,19 +60,19 @@ func (e *Engine) SetObserver(o *obs.Observer) {
 }
 
 // NewEngine returns an engine of the given width with a fresh cache.
-// Widths above one also enable stage-level parallelism inside each
-// pipeline run.
 func NewEngine(workers int) *Engine {
-	e := &Engine{Workers: workers, Cache: NewReportCache()}
-	if workers == 0 || workers > 1 {
-		e.StageWorkers = 2
-	}
-	return e
+	return &Engine{Workers: workers, Cache: NewReportCache()}
 }
 
-// serialEngine backs the package-level entry points: one worker, no cache,
-// preserving the historical behaviour exactly.
-var serialEngine = &Engine{Workers: 1}
+// stageWidth is how many stage chains of one pipeline run at once, and how
+// many benefit measurements overlap: 2, unless the engine is serial. Width 1
+// runs them in submission order on the same sched path.
+func (e *Engine) stageWidth() int {
+	if e.Workers == 0 || e.Workers > 1 {
+		return 2
+	}
+	return 1
+}
 
 // pool builds the engine's worker pool.
 func (e *Engine) pool() (*sched.Pool, error) {
@@ -85,11 +84,12 @@ func (e *Engine) pool() (*sched.Pool, error) {
 	return p, nil
 }
 
-// config assembles the ffm configuration for one spec.
-func (e *Engine) config(spec apps.Spec) ffm.Config {
+// config assembles the ffm configuration of every pipeline the engine
+// runs, on the machine the factory models.
+func (e *Engine) config(f proc.Factory) ffm.Config {
 	cfg := ffm.DefaultConfig()
-	cfg.Factory = spec.Factory()
-	cfg.Workers = e.StageWorkers
+	cfg.Factory = f
+	cfg.Workers = e.stageWidth()
 	cfg.Obs = e.Obs
 	return cfg
 }
@@ -102,7 +102,7 @@ func (e *Engine) RunApp(name string, scale float64) (*ffm.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := e.config(spec)
+	cfg := e.config(spec.Factory())
 	run := func() (*ffm.Report, error) {
 		return ffm.Run(spec.New(scale, apps.Original), cfg)
 	}
@@ -118,27 +118,38 @@ func (e *Engine) RunApp(name string, scale float64) (*ffm.Report, error) {
 // becomes an executable application whose analysis reproduces the
 // original's byte for byte. Replays are request-shaped and never cached.
 func (e *Engine) Replay(run *trace.Run) (*ffm.Report, error) {
-	cfg := ffm.DefaultConfig()
-	cfg.Workers = e.StageWorkers
-	cfg.Obs = e.Obs
 	// Byte-identical reproduction needs the machine configuration the
 	// trace was captured on; registered applications carry theirs.
-	if f, ok := apps.FactoryFor(run.App); ok {
-		cfg.Factory = f
+	f, ok := apps.FactoryFor(run.App)
+	if !ok {
+		f = proc.DefaultFactory()
 	}
-	return ffm.Run(apps.NewReplayApp(run), cfg)
+	return ffm.Run(apps.NewReplayApp(run), e.config(f))
 }
 
-// ActualReduction measures the real benefit of the paper's fix, caching
-// the per-variant uninstrumented runtimes. On a parallel engine the two
-// variant runs execute concurrently — each in its own fresh process on its
-// own virtual clock, so concurrency cannot change the measured durations.
+// RunFamily runs the full FFM pipeline on one member of a generative
+// application family on the default machine. Like replays, family runs
+// are request-shaped and never cached.
+func (e *Engine) RunFamily(name string, seed uint64, steps int) (*ffm.Report, error) {
+	fam, err := apps.FamilyByName(name)
+	if err != nil {
+		return nil, err
+	}
+	cfg := e.config(proc.DefaultFactory())
+	return ffm.Run(fam.New(seed, steps, cfg.Factory), cfg)
+}
+
+// ActualReduction measures the real benefit of the paper's fix: it runs the
+// original and fixed builds uninstrumented and returns both runtimes,
+// caching them per variant. On a parallel engine the two variant runs
+// execute concurrently — each in its own fresh process on its own virtual
+// clock, so concurrency cannot change the measured durations.
 func (e *Engine) ActualReduction(name string, scale float64) (orig, fixed simtime.Duration, err error) {
 	spec, err := apps.ByName(name)
 	if err != nil {
 		return 0, 0, err
 	}
-	cfg := e.config(spec)
+	cfg := e.config(spec.Factory())
 	var times [2]simtime.Duration
 	variants := []apps.Variant{apps.Original, apps.Fixed}
 	measureInto := func(i int) func(context.Context) error {
@@ -162,16 +173,7 @@ func (e *Engine) ActualReduction(name string, scale float64) (orig, fixed simtim
 			return err
 		}
 	}
-	if e.StageWorkers > 1 {
-		err = sched.GoMetrics(context.Background(), 2, e.Obs.Metrics(), measureInto(0), measureInto(1))
-	} else {
-		for i := range variants {
-			if err = measureInto(i)(nil); err != nil {
-				break
-			}
-		}
-	}
-	if err != nil {
+	if err := sched.GoMetrics(context.Background(), e.stageWidth(), e.Obs.Metrics(), measureInto(0), measureInto(1)); err != nil {
 		return 0, 0, err
 	}
 	return times[0], times[1], nil
@@ -196,17 +198,8 @@ func (e *Engine) Table1For(name string, scale float64) (*Table1Row, error) {
 		orig, fixed, err = e.ActualReduction(name, scale)
 		return err
 	}
-	if e.StageWorkers > 1 {
-		if err := sched.GoMetrics(context.Background(), 2, e.Obs.Metrics(), pipeline, reduction); err != nil {
-			return nil, err
-		}
-	} else {
-		if err := pipeline(nil); err != nil {
-			return nil, err
-		}
-		if err := reduction(nil); err != nil {
-			return nil, err
-		}
+	if err := sched.GoMetrics(context.Background(), e.stageWidth(), e.Obs.Metrics(), pipeline, reduction); err != nil {
+		return nil, err
 	}
 	est, err := AddressedEstimate(name, rep)
 	if err != nil {
@@ -243,13 +236,6 @@ func (e *Engine) Table1(scale float64) ([]Table1Row, error) {
 		out[i] = *r
 	}
 	return out, nil
-}
-
-// Table2For regenerates one application's section of Table 2 through the
-// engine: the pipeline report comes from the (possibly cached) engine path
-// while the comparison profilers run inline.
-func (e *Engine) Table2For(name string, scale float64) ([]Table2Row, error) {
-	return table2For(name, scale, e)
 }
 
 // Table2 regenerates Table 2 sections for the named applications, one

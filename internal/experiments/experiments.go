@@ -45,19 +45,6 @@ var paperTable1 = map[string]struct {
 	"rodinia_gaussian": {"Sync", 2.2, 2.1},
 }
 
-// RunApp executes the full FFM pipeline on one modelled application at the
-// given scale and returns the report. It is the uncached serial path; the
-// Engine offers the pooled, cached equivalent.
-func RunApp(name string, scale float64) (*ffm.Report, error) {
-	return serialEngine.RunApp(name, scale)
-}
-
-// ActualReduction measures the real benefit of the paper's fix: it runs the
-// original and fixed builds uninstrumented and returns the runtime delta.
-func ActualReduction(name string, scale float64) (orig, fixed simtime.Duration, err error) {
-	return serialEngine.ActualReduction(name, scale)
-}
-
 // AddressedEstimate extracts, from a report, the estimate for exactly the
 // problems each paper fix addressed: the 10..23 subsequence for cumf_als
 // (Figure 8), the contiguous_storage fold for cuIBM, the cudaMemset point
@@ -114,16 +101,6 @@ func AddressedEstimate(name string, rep *ffm.Report) (simtime.Duration, error) {
 	default:
 		return 0, fmt.Errorf("experiments: no fix mapping for %q", name)
 	}
-}
-
-// Table1 regenerates Table 1 at the given workload scale.
-func Table1(scale float64) ([]Table1Row, error) {
-	return serialEngine.Table1(scale)
-}
-
-// Table1For computes one application's Table 1 row.
-func Table1For(name string, scale float64) (*Table1Row, error) {
-	return serialEngine.Table1For(name, scale)
 }
 
 // table1Assemble builds the row from the measured quantities.
@@ -184,14 +161,10 @@ type Table2Row struct {
 	DiogenesListed  bool // false: Diogenes collects no data on this call
 }
 
-// Table2For regenerates one application's section of Table 2.
-func Table2For(name string, scale float64) ([]Table2Row, error) {
-	return table2For(name, scale, serialEngine)
-}
-
-// table2For runs the three tools for one application, sourcing the
-// Diogenes report from the engine (pooled and cached when it is).
-func table2For(name string, scale float64, e *Engine) ([]Table2Row, error) {
+// Table2For regenerates one application's section of Table 2: the
+// comparison profilers run inline while the Diogenes report comes from
+// the engine (pooled and cached when it is).
+func (e *Engine) Table2For(name string, scale float64) ([]Table2Row, error) {
 	spec, err := apps.ByName(name)
 	if err != nil {
 		return nil, err
@@ -300,10 +273,4 @@ type AutofixRow struct {
 	CallsElided     int64
 	GuardViolation  string
 	Valid           bool
-}
-
-// AutofixTable measures, per application, how the automatic correction
-// compares to the paper's manual fix.
-func AutofixTable(scale float64, apply func(name string, scale float64) (*AutofixRow, error)) ([]AutofixRow, error) {
-	return serialEngine.AutofixTable(scale, apply)
 }

@@ -10,7 +10,7 @@ const testScale = 0.1
 
 func table1Row(t *testing.T, name string) *Table1Row {
 	t.Helper()
-	row, err := Table1For(name, testScale)
+	row, err := (&Engine{Workers: 1}).Table1For(name, testScale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestOverheadMultiples(t *testing.T) {
 // reports essentially nothing recoverable from it — the difference "can be
 // as much as 99%".
 func TestTable2CumfALS(t *testing.T) {
-	rows, err := Table2For("cumf_als", testScale)
+	rows, err := (&Engine{Workers: 1}).Table2For("cumf_als", testScale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestTable2CumfALS(t *testing.T) {
 
 // TestTable2CuIBMCrash asserts the NVProf crash and the fallback ordering.
 func TestTable2CuIBMCrash(t *testing.T) {
-	rows, err := Table2For("cuibm", testScale)
+	rows, err := (&Engine{Workers: 1}).Table2For("cuibm", testScale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestTable2CuIBMCrash(t *testing.T) {
 // TestTable2AMG asserts the memset finding: cudaMemset tops Diogenes'
 // savings even though profilers see it merely as one call among many.
 func TestTable2AMG(t *testing.T) {
-	rows, err := Table2For("amg", testScale)
+	rows, err := (&Engine{Workers: 1}).Table2For("amg", testScale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestTable2AMG(t *testing.T) {
 // cudaThreadSynchronize for ~95% of execution; Diogenes knows only ~2% is
 // recoverable.
 func TestTable2Rodinia(t *testing.T) {
-	rows, err := Table2For("rodinia_gaussian", testScale)
+	rows, err := (&Engine{Workers: 1}).Table2For("rodinia_gaussian", testScale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestTable2Rodinia(t *testing.T) {
 }
 
 func TestActualReductionRunsBothVariants(t *testing.T) {
-	orig, fixed, err := ActualReduction("rodinia_gaussian", 0.02)
+	orig, fixed, err := (&Engine{Workers: 1}).ActualReduction("rodinia_gaussian", 0.02)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestNVProfConfigForScale(t *testing.T) {
 }
 
 func TestTable1AllApps(t *testing.T) {
-	rows, err := Table1(0.05)
+	rows, err := (&Engine{Workers: 1}).Table1(0.05)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"time"
 
@@ -70,7 +71,7 @@ func (e *Engine) FleetCtx(ctx context.Context, name string, scale float64, ranks
 		BarrierLatency: spec.MPI.BarrierLatency,
 		Factory:        spec.Factory(),
 	}
-	cfg := e.config(spec)
+	cfg := e.config(mcfg.Factory)
 	keyFor := func(r int) (string, bool) {
 		return CacheKey(FleetRankID(name, r, ranks), scale, apps.Original, cfg)
 	}
@@ -214,7 +215,7 @@ func (e *Engine) fleetRank(ctx context.Context, app string, rank int, newProg fu
 	out := ffm.RankOutcome{Rank: rank}
 	span := e.Obs.Root().Child(rank, "rank", FleetRankID(app, rank, mcfg.Ranks))
 	defer span.End()
-	cfg := e.fleetConfig(mcfg)
+	cfg := e.config(mcfg.Factory)
 	cfg.Parent = span
 	run := func() (*ffm.Report, error) {
 		return containedRun(mpi.App(newProg(rank), mcfg, rank), cfg)
@@ -271,24 +272,23 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 
 // containedRun executes one rank pipeline, converting panics into errors.
 // proc.SafeRun only recovers simulated-deadlock panics; a fleet launch must
-// survive any rank fault.
+// survive any rank fault. A stage panic arrives as the stage pool's
+// *sched.PanicError and is reported exactly like one recovered here, so
+// the failed rank's error text does not depend on the engine's width.
 func containedRun(app proc.App, cfg ffm.Config) (rep *ffm.Report, err error) {
+	rankPanic := func(v any) error {
+		return fmt.Errorf("experiments: fleet rank pipeline %s panicked: %v", app.Name(), v)
+	}
 	defer func() {
 		if v := recover(); v != nil {
-			rep, err = nil, fmt.Errorf("experiments: fleet rank pipeline %s panicked: %v", app.Name(), v)
+			rep, err = nil, rankPanic(v)
 		}
 	}()
-	return ffm.Run(app, cfg)
-}
-
-// fleetConfig assembles the per-rank ffm configuration for an explicit
-// launch config (FleetOver has no registry spec to derive it from).
-func (e *Engine) fleetConfig(mcfg mpi.Config) ffm.Config {
-	cfg := ffm.DefaultConfig()
-	cfg.Factory = mcfg.Factory
-	cfg.Workers = e.StageWorkers
-	cfg.Obs = e.Obs
-	return cfg
+	rep, err = ffm.Run(app, cfg)
+	if pe := (*sched.PanicError)(nil); errors.As(err, &pe) {
+		return nil, rankPanic(pe.Value)
+	}
+	return rep, err
 }
 
 // fleetBackoff resolves the retry pause.
@@ -367,7 +367,7 @@ func (e *Engine) FleetSuiteKey(name string, scale float64, ranks int) (string, b
 	if ranks < 1 {
 		return "", false
 	}
-	cfg := e.config(spec)
+	cfg := e.config(spec.Factory())
 	h := sha256.New()
 	writeLenPrefixed(h, []byte("fleet"))
 	var rb [8]byte

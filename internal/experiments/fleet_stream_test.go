@@ -107,18 +107,14 @@ func TestFleetStreamDeterministic256(t *testing.T) {
 // TestFleetStreamFaultMidTree injects a failure into a rank in the middle
 // of the reduction tree and asserts the degraded report is byte-identical
 // at every parallelism degree: a failed leaf must not perturb the merge
-// order or the surviving aggregates.
+// order or the surviving aggregates, and the failed rank's error text must
+// not depend on whether its stages ran serially or overlapped.
 func TestFleetStreamFaultMidTree(t *testing.T) {
 	const ranks, bad = 64, 31
 	var want []byte
 	for _, workers := range []int{1, 4, 8} {
 		eng := NewEngine(workers)
 		eng.FleetBackoff = time.Nanosecond
-		// Pin stage-serial pipelines: the failed rank's error *string*
-		// depends on which goroutine recovers the panic (a stage worker
-		// reports "sched: task ... panicked"), which is orthogonal to the
-		// reduction determinism under test here.
-		eng.StageWorkers = 0
 		newProg := func(observed int) mpi.RankProgram {
 			prog := mpi.RankProgram(&skewedRanks{steps: 1})
 			if observed == bad {

@@ -103,7 +103,6 @@ func TestObsZeroPerturbation(t *testing.T) {
 // the second request.
 func TestObsCacheHitRecordsNoSpans(t *testing.T) {
 	eng := NewEngine(1)
-	eng.StageWorkers = 0
 	o1 := obs.New("diogenes")
 	eng.SetObserver(o1)
 	if _, err := eng.RunApp("rodinia_gaussian", goldenScale); err != nil {

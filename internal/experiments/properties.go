@@ -22,7 +22,6 @@ import (
 	"bytes"
 	"fmt"
 
-	"diogenes/internal/apps"
 	"diogenes/internal/ffm"
 	"diogenes/internal/simtime"
 	"diogenes/internal/trace"
@@ -56,30 +55,27 @@ func (s Scenario) fail(invariant, format string, args ...any) error {
 
 // runScenario executes the full FFM pipeline on one fresh instance of the
 // scenario's application.
-func runScenario(s Scenario, cfg ffm.Config) (*ffm.Report, error) {
-	fam, err := apps.FamilyByName(s.Family)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := ffm.Run(fam.New(s.Seed, s.Steps, cfg.Factory), cfg)
+func (e *Engine) runScenario(s Scenario) (*ffm.Report, error) {
+	rep, err := e.RunFamily(s.Family, s.Seed, s.Steps)
 	if err != nil {
 		return nil, fmt.Errorf("%s: pipeline: %w", s, err)
 	}
 	return rep, nil
 }
 
-// CheckInvariants runs a scenario through the measurement pipeline and
-// verifies the determinism, benefit-bound, and replay-fidelity invariants.
-// It returns the first run's report so callers can stack further checks
-// (the autofix invariant, distribution statistics) on top.
-func CheckInvariants(s Scenario, cfg ffm.Config) (*ffm.Report, error) {
-	rep, err := runScenario(s, cfg)
+// CheckInvariants runs a scenario through the engine's measurement
+// pipeline and verifies the determinism, benefit-bound, and
+// replay-fidelity invariants. It returns the first run's report so callers
+// can stack further checks (the autofix invariant, distribution
+// statistics) on top.
+func (e *Engine) CheckInvariants(s Scenario) (*ffm.Report, error) {
+	rep, err := e.runScenario(s)
 	if err != nil {
 		return nil, err
 	}
 
 	// Invariant 1: the pipeline is a pure function of (scenario, config).
-	again, err := runScenario(s, cfg)
+	again, err := e.runScenario(s)
 	if err != nil {
 		return nil, err
 	}
@@ -121,7 +117,7 @@ func CheckInvariants(s Scenario, cfg ffm.Config) (*ffm.Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: trace import: %w", s, err)
 	}
-	replayed, err := ffm.Run(apps.NewReplayApp(captured), cfg)
+	replayed, err := e.Replay(captured)
 	if err != nil {
 		return nil, fmt.Errorf("%s: replay pipeline: %w", s, err)
 	}

@@ -16,7 +16,6 @@ import (
 	"diogenes/internal/apps"
 	"diogenes/internal/autofix"
 	"diogenes/internal/experiments"
-	"diogenes/internal/ffm"
 	"diogenes/internal/proc"
 )
 
@@ -48,11 +47,11 @@ func TestPropertyInvariants(t *testing.T) {
 		fam := fam
 		t.Run(fam.Name, func(t *testing.T) {
 			t.Parallel()
-			cfg := ffm.DefaultConfig()
+			eng := &experiments.Engine{Workers: 1}
 			planned := 0
 			for seed := uint64(1); seed <= seeds; seed++ {
 				s := experiments.Scenario{Family: fam.Name, Seed: seed, Steps: propertySteps}
-				rep, err := experiments.CheckInvariants(s, cfg)
+				rep, err := eng.CheckInvariants(s)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -68,7 +67,7 @@ func TestPropertyInvariants(t *testing.T) {
 				build := func(f proc.Factory) proc.App {
 					return fam.New(s.Seed, s.Steps, f)
 				}
-				v, err := autofix.ApplyWith(build, cfg.Factory, plan, autofix.DefaultOptions())
+				v, err := autofix.ApplyWith(build, proc.DefaultFactory(), plan, autofix.DefaultOptions())
 				if err != nil {
 					t.Fatalf("%s: autofix apply: %v", s, err)
 				}
@@ -91,7 +90,7 @@ func TestPropertyInvariants(t *testing.T) {
 // TestCheckInvariantsRejectsUnknownFamily covers the harness error path.
 func TestCheckInvariantsRejectsUnknownFamily(t *testing.T) {
 	s := experiments.Scenario{Family: "no-such-family", Seed: 1, Steps: 5}
-	if _, err := experiments.CheckInvariants(s, ffm.DefaultConfig()); err == nil {
+	if _, err := (&experiments.Engine{Workers: 1}).CheckInvariants(s); err == nil {
 		t.Fatal("unknown family accepted")
 	}
 }

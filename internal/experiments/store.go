@@ -57,7 +57,7 @@ func (e *Engine) RunKey(name string, scale float64) (string, bool) {
 	if err != nil {
 		return "", false
 	}
-	return CacheKey(name, scale, apps.Original, e.config(spec))
+	return CacheKey(name, scale, apps.Original, e.config(spec.Factory()))
 }
 
 // SuiteKey returns one content-addressed key covering an entire evaluation

@@ -3,6 +3,7 @@ package ffm
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"diogenes/internal/ffm/graph"
 	"diogenes/internal/gpu"
 	"diogenes/internal/proc"
+	"diogenes/internal/sched"
 	"diogenes/internal/simtime"
 	"diogenes/internal/trace"
 )
@@ -515,6 +517,40 @@ func TestPipelineSurvivesDeadlockedApp(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "deadlocked") {
 		t.Fatalf("error = %v, want deadlock report", err)
+	}
+}
+
+// panickingApp faults with an ordinary Go panic, which proc.SafeRun does
+// not recover (it only converts simulated deadlocks).
+type panickingApp struct{}
+
+func (panickingApp) Name() string { return "panicking" }
+
+func (panickingApp) Run(*proc.Process) error { panic("injected app fault") }
+
+// TestPipelineContainsPanickingApp runs a panicking application with a
+// zero Workers: the serial stage path is the same sched pool as the
+// overlapped one, so the panic comes back as a contained
+// *sched.PanicError instead of escaping Run — with the same error text
+// when the stages overlap.
+func TestPipelineContainsPanickingApp(t *testing.T) {
+	var want string
+	for _, workers := range []int{0, 2} {
+		cfg := DefaultConfig()
+		cfg.Workers = workers
+		_, err := Run(panickingApp{}, cfg)
+		var pe *sched.PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("workers=%d: error = %v, want a *sched.PanicError", workers, err)
+		}
+		if pe.Value != "injected app fault" {
+			t.Fatalf("workers=%d: panic value = %v", workers, pe.Value)
+		}
+		if workers == 0 {
+			want = err.Error()
+		} else if err.Error() != want {
+			t.Fatalf("workers=%d: error %q, want %q as at workers=0", workers, err, want)
+		}
 	}
 }
 

@@ -17,12 +17,14 @@ type Config struct {
 	Factory   proc.Factory
 	Overheads Overheads
 	Analysis  AnalysisOptions
-	// Workers bounds how many collection stages run concurrently once the
-	// stage-1 baseline exists. 0 or 1 keeps the historical serial order;
-	// 2 or more runs stage 2 (detailed tracing) in parallel with stages
-	// 3→4 (memory tracing, then sync-use). Every stage executes the
-	// application in its own fresh process on its own virtual clock, so
-	// the report is byte-identical regardless of Workers.
+	// Workers bounds how many stage chains run at once. 0 or 1 runs the
+	// stages one after another, in pipeline order; 2 or more overlaps the
+	// reference run with stage 1, and stage 2 (detailed tracing) with
+	// stages 3→4 (memory tracing, then sync-use). Both settings go through
+	// the same sched pool, so a panicking stage is a *sched.PanicError
+	// either way. Every stage executes the application in its own fresh
+	// process on its own virtual clock, so the report is byte-identical
+	// regardless of Workers.
 	Workers int
 	// Obs, when non-nil, receives the run's self-measurement: one span per
 	// pipeline stage (virtual-time attributed, so the span layout is
@@ -35,6 +37,15 @@ type Config struct {
 	// the observer's root. Fleet analysis uses it to group each rank's
 	// five-stage pipeline under that rank's span.
 	Parent *obs.Span
+}
+
+// stageWidth is the width of the pool the stage chains run on: 1 runs
+// them in submission order and stops at the first error, 2 overlaps them.
+func (c Config) stageWidth() int {
+	if c.Workers > 1 {
+		return 2
+	}
+	return 1
 }
 
 // DefaultConfig returns the standard tool configuration.
@@ -181,14 +192,7 @@ func Run(app proc.App, cfg Config) (*Report, error) {
 		sp.SetArg("probe_ns", int64(base.ProbeOverhead))
 		return nil
 	}
-	if cfg.Workers <= 1 {
-		if err := reference(nil); err != nil {
-			return nil, err
-		}
-		if err := baseline(nil); err != nil {
-			return nil, err
-		}
-	} else if err := sched.GoMetrics(context.Background(), 2, mets, reference, baseline); err != nil {
+	if err := sched.GoMetrics(context.Background(), cfg.stageWidth(), mets, reference, baseline); err != nil {
 		return nil, err
 	}
 	rep.Baseline = base
@@ -292,30 +296,35 @@ type stage4Result struct {
 
 // runCollection executes the post-baseline collection stages. Stage 2
 // depends only on the baseline, and stage 4 depends only on stage 3, so
-// with cfg.Workers > 1 the two chains — stage 2, and stage 3 followed by
-// stage 4 — run concurrently on the sched engine. Each stage executes the
-// application in a fresh process, so stage outputs never depend on which
-// chain ran first.
+// the two chains — stage 2, and stage 3 followed by stage 4 — are two
+// tasks on one sched pool of cfg.stageWidth() workers. Each stage executes
+// the application in a fresh process, so stage outputs never depend on
+// which chain ran first.
 func runCollection(app proc.App, cfg Config, base *BaselineResult, runSpan *obs.Span, mets *obs.Registry) (*trace.Run, *stage4Result, error) {
-	runStage2 := func(context.Context) (*trace.Run, error) {
+	var (
+		stage2 *trace.Run
+		s4     *stage4Result
+	)
+	runStage2 := func(context.Context) error {
 		sp := runSpan.Child(2, "stage", "stage2-detailed-tracing")
 		defer sp.End()
-		stage2, err := runDetailedTracing(app, cfg.Factory, base, cfg.Overheads, mets)
+		run, err := runDetailedTracing(app, cfg.Factory, base, cfg.Overheads, mets)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		sp.SetVirtual(stage2.RawExecTime)
-		sp.SetArg("records", len(stage2.Records))
-		sp.SetArg("probe_ns", int64(stage2.RawExecTime-stage2.ExecTime))
-		addCallBatches(sp, stage2.Records)
-		return stage2, nil
+		sp.SetVirtual(run.RawExecTime)
+		sp.SetArg("records", len(run.Records))
+		sp.SetArg("probe_ns", int64(run.RawExecTime-run.ExecTime))
+		addCallBatches(sp, run.Records)
+		stage2 = run
+		return nil
 	}
-	stage34 := func() (*stage4Result, error) {
+	stage34 := func(context.Context) error {
 		sp3 := runSpan.Child(3, "stage", "stage3-memory-tracing")
 		stage3, err := runMemoryTracing(app, cfg.Factory, base, cfg.Overheads, mets)
 		if err != nil {
 			sp3.End()
-			return nil, err
+			return err
 		}
 		sp3.SetVirtual(stage3.RawExecTime)
 		sp3.SetArg("records", len(stage3.Records))
@@ -327,49 +336,21 @@ func runCollection(app proc.App, cfg Config, base *BaselineResult, runSpan *obs.
 		defer sp4.End()
 		run, execTime, probe, err := runSyncUse(app, cfg.Factory, base, stage3, cfg.Overheads, mets)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		sp4.SetVirtual(execTime)
 		sp4.SetArg("records", len(run.Records))
 		sp4.SetArg("probe_ns", int64(probe))
-		return &stage4Result{
+		s4 = &stage4Result{
 			run:         run,
 			execTime:    execTime,
 			probe:       probe,
 			stage3Raw:   stage3.RawExecTime,
 			stage3Probe: stage3.RawExecTime - stage3.ExecTime,
-		}, nil
-	}
-
-	if cfg.Workers <= 1 {
-		stage2, err := runStage2(nil)
-		if err != nil {
-			return nil, nil, err
 		}
-		s4, err := stage34()
-		if err != nil {
-			return nil, nil, err
-		}
-		return stage2, s4, nil
+		return nil
 	}
-
-	var (
-		stage2 *trace.Run
-		s4     *stage4Result
-	)
-	err := sched.GoMetrics(context.Background(), 2, mets,
-		func(ctx context.Context) error {
-			var err error
-			stage2, err = runStage2(ctx)
-			return err
-		},
-		func(context.Context) error {
-			var err error
-			s4, err = stage34()
-			return err
-		},
-	)
-	if err != nil {
+	if err := sched.GoMetrics(context.Background(), cfg.stageWidth(), mets, runStage2, stage34); err != nil {
 		return nil, nil, err
 	}
 	return stage2, s4, nil

@@ -106,8 +106,11 @@ func (p *Pool) SetMetrics(m *obs.Registry) { p.metrics = m }
 // Run executes the tasks on the pool's workers and blocks until every
 // started task has finished. The first failure (error or panic) cancels the
 // run: tasks not yet started are skipped and reported with ErrSkipped.
-// Results come back in submission order; the returned error is the first
-// failure observed (by completion time), or nil if every task succeeded.
+// Results come back in submission order; the returned error is that of the
+// earliest failed task in submission order, or nil if every task that ran
+// succeeded. The earliest failing task is never skipped (every task
+// dequeued before it succeeded), so for deterministic tasks the returned
+// error is the same at every width and whichever task finished first.
 //
 // A nil ctx is treated as context.Background.
 func (p *Pool) Run(ctx context.Context, tasks ...Task) ([]Result, error) {
@@ -120,17 +123,6 @@ func (p *Pool) Run(ctx context.Context, tasks ...Task) ([]Result, error) {
 	results := make([]Result, len(tasks))
 	for i, t := range tasks {
 		results[i].Name = t.Name
-	}
-
-	var (
-		firstErr  error
-		firstOnce sync.Once
-	)
-	fail := func(err error) {
-		firstOnce.Do(func() {
-			firstErr = err
-			cancel()
-		})
 	}
 
 	indexes := make(chan int, len(tasks))
@@ -182,7 +174,7 @@ func (p *Pool) Run(ctx context.Context, tasks ...Task) ([]Result, error) {
 				tasksRun.Inc()
 				if results[i].Err != nil {
 					tasksFailed.Inc()
-					fail(results[i].Err)
+					cancel()
 				}
 			}
 		}()
@@ -191,7 +183,12 @@ func (p *Pool) Run(ctx context.Context, tasks ...Task) ([]Result, error) {
 	if wall := time.Since(runStart); wall > 0 && workers > 0 {
 		utilization.Set(100 * float64(busyNS.Load()) / (float64(wall) * float64(workers)))
 	}
-	return results, firstErr
+	for _, r := range results {
+		if r.Err != nil && !errors.Is(r.Err, ErrSkipped) {
+			return results, r.Err
+		}
+	}
+	return results, nil
 }
 
 // runOne executes a single task, converting a panic into a *PanicError.
@@ -210,17 +207,13 @@ func runOne(ctx context.Context, t Task) (err error) {
 	return t.Fn(ctx)
 }
 
-// Go runs fns as anonymous tasks on a pool of the given width and returns
-// the first error — the fire-and-join convenience used by callers that need
-// structured results no finer than "did everything succeed".
-func Go(ctx context.Context, workers int, fns ...func(ctx context.Context) error) error {
-	return GoMetrics(ctx, workers, nil, fns...)
-}
-
-// GoMetrics is Go with a metrics registry attached to the throwaway pool,
-// so ad-hoc parallel sections (the FFM stage overlap, the benefit
-// measurement pair) contribute to the same scheduler telemetry as the
-// experiment suites. A nil registry is Go.
+// GoMetrics runs fns as anonymous tasks on a throwaway pool of the given
+// width and returns Run's error — the fire-and-join convenience for
+// callers that need structured results no finer than "did everything
+// succeed". Width 1 runs fns in order and stops at the first failure, so
+// serial and overlapped sections share one code path (the FFM stage
+// chains, the benefit measurement pair). The registry, when non-nil,
+// receives the same scheduler telemetry as the experiment suites.
 func GoMetrics(ctx context.Context, workers int, m *obs.Registry, fns ...func(ctx context.Context) error) error {
 	pool, err := New(workers)
 	if err != nil {

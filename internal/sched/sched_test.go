@@ -48,10 +48,12 @@ func TestNewWorkerCounts(t *testing.T) {
 }
 
 // TestRunErrorPaths is the table-driven contract for failure handling:
-// worker panics become errors, a nil function is an error, and the first
-// failure's error is what Run returns.
+// worker panics become errors, a nil function is an error, and the
+// earliest submitted failure's error is what Run returns, whichever task
+// finished first.
 func TestRunErrorPaths(t *testing.T) {
 	boom := errors.New("boom")
+	late := errors.New("late")
 	tests := []struct {
 		name     string
 		tasks    []Task
@@ -84,6 +86,20 @@ func TestRunErrorPaths(t *testing.T) {
 				}
 				if !errors.Is(res[1].Err, boom) {
 					t.Errorf("bad task err = %v", res[1].Err)
+				}
+			},
+		},
+		{
+			// The first task fails only after the second one's failure has
+			// cancelled the run, so it is the last to finish.
+			name: "earliest submitted failure wins",
+			tasks: []Task{
+				{Name: "fails-last", Fn: func(ctx context.Context) error { <-ctx.Done(); return late }},
+				{Name: "fails-first", Fn: func(context.Context) error { return boom }},
+			},
+			checkErr: func(t *testing.T, err error) {
+				if !errors.Is(err, late) {
+					t.Fatalf("err = %v, want %v", err, late)
 				}
 			},
 		},
@@ -264,18 +280,18 @@ func TestConcurrencyBound(t *testing.T) {
 	}
 }
 
-// TestGo exercises the convenience wrapper, including its worker-count
-// validation path.
-func TestGo(t *testing.T) {
+// TestGoMetrics exercises the fire-and-join helper, including its
+// worker-count validation path.
+func TestGoMetrics(t *testing.T) {
 	var n atomic.Int32
-	err := Go(context.Background(), 2,
+	err := GoMetrics(context.Background(), 2, nil,
 		func(context.Context) error { n.Add(1); return nil },
 		func(context.Context) error { n.Add(1); return nil },
 	)
 	if err != nil || n.Load() != 2 {
-		t.Fatalf("Go: err=%v ran=%d", err, n.Load())
+		t.Fatalf("GoMetrics: err=%v ran=%d", err, n.Load())
 	}
-	if err := Go(context.Background(), -2, func(context.Context) error { return nil }); err == nil {
+	if err := GoMetrics(context.Background(), -2, nil, func(context.Context) error { return nil }); err == nil {
 		t.Fatal("negative width accepted")
 	}
 }

@@ -19,7 +19,9 @@ type sseFrame struct {
 
 // readSSE consumes an event stream until the terminal frame (or EOF) and
 // returns the parsed frames plus how many heartbeat comments arrived.
-func readSSE(t *testing.T, url string) (frames []sseFrame, heartbeats int) {
+// firstHeartbeat, when non-nil, is called as soon as the first heartbeat
+// comment is read.
+func readSSE(t *testing.T, url string, firstHeartbeat func()) (frames []sseFrame, heartbeats int) {
 	t.Helper()
 	client := &http.Client{Timeout: 60 * time.Second}
 	resp, err := client.Get(url)
@@ -40,6 +42,9 @@ func readSSE(t *testing.T, url string) (frames []sseFrame, heartbeats int) {
 		switch {
 		case strings.HasPrefix(line, ": heartbeat"):
 			heartbeats++
+			if heartbeats == 1 && firstHeartbeat != nil {
+				firstHeartbeat()
+			}
 		case strings.HasPrefix(line, "event: "):
 			event = strings.TrimPrefix(line, "event: ")
 		case strings.HasPrefix(line, "data: "):
@@ -75,7 +80,7 @@ func TestEventsStreamEndsWithTerminalFrame(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("submit status %d", code)
 	}
-	frames, _ := readSSE(t, ts.URL+"/jobs/"+v.ID+"/events")
+	frames, _ := readSSE(t, ts.URL+"/jobs/"+v.ID+"/events", nil)
 	if len(frames) < 2 {
 		t.Fatalf("got %d frames, want at least a progress and a done frame: %+v", len(frames), frames)
 	}
@@ -119,7 +124,7 @@ func TestEventsFleetTerminalCountersMatchFinalView(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("submit status %d", code)
 	}
-	frames, _ := readSSE(t, ts.URL+"/jobs/"+v.ID+"/events")
+	frames, _ := readSSE(t, ts.URL+"/jobs/"+v.ID+"/events", nil)
 	last := frames[len(frames)-1]
 	if last.Event != "done" {
 		t.Fatalf("stream ended with %q, want done", last.Event)
@@ -164,7 +169,7 @@ func TestEventsFinishedJobYieldsImmediateTerminalFrame(t *testing.T) {
 		t.Fatalf("resubmission not store-served: status %d, fromStore %v", code, v2.FromStore)
 	}
 	start := time.Now()
-	frames, _ := readSSE(t, ts.URL+"/jobs/"+v2.ID+"/events")
+	frames, _ := readSSE(t, ts.URL+"/jobs/"+v2.ID+"/events", nil)
 	if since := time.Since(start); since > 10*time.Second {
 		t.Fatalf("terminal frame for a finished job took %s", since)
 	}
@@ -198,11 +203,18 @@ func TestEventsHeartbeatsKeepQuietStreamsAlive(t *testing.T) {
 		t.Fatalf("submit status %d", code)
 	}
 	<-entered
-	go func() {
-		time.Sleep(200 * time.Millisecond)
-		close(release)
+	// Hold the job until the stream has carried a heartbeat, however slow
+	// the host: the wait is on the stream itself, not on a wall-clock guess.
+	released := false
+	defer func() {
+		if !released {
+			close(release)
+		}
 	}()
-	frames, heartbeats := readSSE(t, ts.URL+"/jobs/"+v.ID+"/events")
+	frames, heartbeats := readSSE(t, ts.URL+"/jobs/"+v.ID+"/events", func() {
+		close(release)
+		released = true
+	})
 	if heartbeats == 0 {
 		t.Fatal("no heartbeat comments on a quiet stream")
 	}

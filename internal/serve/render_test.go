@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"diogenes/internal/apps"
 	"diogenes/internal/experiments"
 	"diogenes/internal/ffm"
 	"diogenes/internal/obs"
@@ -81,9 +80,7 @@ func TestRunJobDocumentsMatchNestedRender(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := ffm.DefaultConfig()
-	cfg.Factory = apps.Must(run.App).Factory()
-	replayed, err := ffm.Run(apps.NewReplayApp(run), cfg)
+	replayed, err := (&experiments.Engine{Workers: 1}).Replay(run)
 	if err != nil {
 		t.Fatal(err)
 	}

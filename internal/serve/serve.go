@@ -391,11 +391,7 @@ func (s *Server) engineFor(req *Request, o *obs.Observer) *experiments.Engine {
 	if req.Fresh {
 		cache = nil
 	}
-	e := &experiments.Engine{Workers: w, Cache: cache, Obs: o}
-	if w > 1 {
-		e.StageWorkers = 2
-	}
-	return e
+	return &experiments.Engine{Workers: w, Cache: cache, Obs: o}
 }
 
 // keyFor computes the job's content-addressed store key ("" when the

@@ -56,7 +56,7 @@ func getStatus(t *testing.T, ts *httptest.Server, id string) View {
 // returns that view.
 func waitState(t *testing.T, ts *httptest.Server, id string) View {
 	t.Helper()
-	frames, _ := readSSE(t, ts.URL+"/jobs/"+id+"/events")
+	frames, _ := readSSE(t, ts.URL+"/jobs/"+id+"/events", nil)
 	if len(frames) == 0 || frames[len(frames)-1].Event != "done" {
 		t.Fatalf("job %s never finished", id)
 	}

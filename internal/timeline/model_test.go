@@ -8,10 +8,8 @@ import (
 	"sort"
 	"testing"
 
-	"diogenes/internal/apps"
 	"diogenes/internal/cuda"
 	"diogenes/internal/experiments"
-	"diogenes/internal/ffm"
 	"diogenes/internal/gpu"
 	"diogenes/internal/mpi"
 	"diogenes/internal/proc"
@@ -108,12 +106,7 @@ func TestModelReplayDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := ffm.DefaultConfig()
-		cfg.Workers = workers
-		if f, ok := apps.FactoryFor(run.App); ok {
-			cfg.Factory = f
-		}
-		rep, err := ffm.Run(apps.NewReplayApp(run), cfg)
+		rep, err := (&experiments.Engine{Workers: workers}).Replay(run)
 		if err != nil {
 			t.Fatal(err)
 		}
