@@ -783,6 +783,12 @@ func BenchmarkFleet1024(b *testing.B) { benchFleet(b, 1024) }
 // overhead-%. The layer's budget is <5% — span creation is a handful of
 // small allocations per stage and every hot-path event is a cached-pointer
 // atomic. (The tool that measures other tools' overhead should know its own.)
+//
+// At -benchtime 1x, the CI smoke setting, the figure compares one plain run
+// with one observed run and means nothing: it is run-to-run noise (one such
+// run printed −37.89). Only many iterations make it a measurement, and
+// nothing gates it; perfbench's traced cohort (trace.overhead_pct) measures
+// the budget.
 func BenchmarkObsOverhead(b *testing.B) {
 	run := func(o *obs.Observer) time.Duration {
 		eng := &experiments.Engine{Workers: 1} // no cache: every run is a real run

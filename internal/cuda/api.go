@@ -314,9 +314,7 @@ func (c *Context) LaunchKernel(spec KernelSpec) (*gpu.Op, error) {
 	c.clock.Advance(c.cfg.LaunchCost)
 	call.Stream = spec.Stream
 	for _, w := range spec.Writes {
-		buf := make([]byte, w.Size)
-		simtime.NewRNG(w.Seed).Bytes(buf)
-		if err := c.devs[c.cur].DevWrite(w.Ptr, buf); err != nil {
+		if err := c.devs[c.cur].DevWrite(w.Ptr, c.kernelBytes(w)); err != nil {
 			return nil, err
 		}
 	}
@@ -324,6 +322,18 @@ func (c *Context) LaunchKernel(spec KernelSpec) (*gpu.Op, error) {
 	c.reportOp(op)
 	c.touchInternal(FuncInternalEnqueue)
 	return op, nil
+}
+
+// kernelBytes generates w's content into the context's scratch buffer,
+// growing it on demand. The slice is valid until the next call; DevWrite
+// copies it and keeps no reference.
+func (c *Context) kernelBytes(w KernelWrite) []byte {
+	if cap(c.scratch) < w.Size {
+		c.scratch = make([]byte, w.Size)
+	}
+	buf := c.scratch[:w.Size]
+	simtime.NewRNG(w.Seed).Bytes(buf)
+	return buf
 }
 
 // DeviceSynchronize blocks until all device work completes. Explicit — the

@@ -69,6 +69,12 @@ func (a HostAttr) String() string {
 // added per fired callback, modelling the trampoline plus snippet cost of
 // binary instrumentation — this is what makes FFM's heavyweight stages slow
 // the application down (§5.3).
+//
+// The *Call a callback receives is valid only for the duration of that
+// callback: the context reuses the frame for a later call once the exit
+// probes and the activity listener have run. A probe that needs a field
+// afterwards copies it (a struct copy `*c` or the field itself); it never
+// keeps the pointer.
 type Probe struct {
 	Entry    func(*Call)
 	Exit     func(*Call)
@@ -155,6 +161,14 @@ type Context struct {
 	calls      map[Func]int64
 	callTime   map[Func]simtime.Duration
 	totalCalls int64
+
+	// frames holds finished Call frames for reuse, so a driver call does
+	// not heap-allocate its frame. Nested calls (internalSync, a probe that
+	// issues a driver call) each take their own frame.
+	frames []*Call
+	// scratch holds the bytes of a KernelWrite between generating them and
+	// DevWrite copying them into device memory.
+	scratch []byte
 
 	// overheadLedger accumulates all virtual time charged by
 	// instrumentation (probe trampolines, hashing, load/store snippets).
@@ -393,10 +407,32 @@ func (c *Context) fireExit(fn Func, call *Call) {
 
 func (c *Context) probed(fn Func) bool { return len(c.byFunc[fn]) > 0 }
 
+// newCall takes a zeroed frame from the free list, or allocates one, and
+// stamps it with fn, kind and the current instant.
+func (c *Context) newCall(fn Func, kind CallKind) *Call {
+	var call *Call
+	if n := len(c.frames); n > 0 {
+		call = c.frames[n-1]
+		c.frames = c.frames[:n-1]
+	} else {
+		call = new(Call)
+	}
+	call.Func, call.Kind, call.Entry = fn, kind, c.clock.Now()
+	return call
+}
+
+// freeCall zeroes a frame whose probes and listener have all run and puts
+// it back on the free list. A frame abandoned by a panic is never freed; the
+// garbage collector takes it.
+func (c *Context) freeCall(call *Call) {
+	*call = Call{}
+	c.frames = append(c.frames, call)
+}
+
 // beginCall opens a driver call frame: counts it, stamps entry, snapshots
 // the stack if requested, and fires entry probes.
 func (c *Context) beginCall(fn Func, kind CallKind) *Call {
-	call := &Call{Func: fn, Kind: kind, Entry: c.clock.Now()}
+	call := c.newCall(fn, kind)
 	c.calls[fn]++
 	c.totalCalls++
 	if c.captureStacks && c.probed(fn) {
@@ -407,8 +443,8 @@ func (c *Context) beginCall(fn Func, kind CallKind) *Call {
 	return call
 }
 
-// endCall closes the frame, fires exit probes, and reports to the vendor
-// listener for public API calls.
+// endCall closes the frame, fires exit probes, reports to the vendor
+// listener for public API calls, and frees the frame.
 func (c *Context) endCall(call *Call) {
 	call.Exit = c.clock.Now()
 	c.callTime[call.Func] += call.Duration()
@@ -416,6 +452,7 @@ func (c *Context) endCall(call *Call) {
 	if c.listener != nil && call.Func.IsPublic() {
 		c.listener.DriverCall(call.Func, call.Entry, call.Exit)
 	}
+	c.freeCall(call)
 }
 
 // touchInternal exercises a non-blocking internal driver function so probes
@@ -424,10 +461,11 @@ func (c *Context) touchInternal(fn Func) {
 	if !c.probed(fn) {
 		return
 	}
-	call := &Call{Func: fn, Kind: KindOther, Entry: c.clock.Now()}
+	call := c.newCall(fn, KindOther)
 	c.fireEntry(fn, call)
 	call.Exit = c.clock.Now()
 	c.fireExit(fn, call)
+	c.freeCall(call)
 }
 
 // internalSync is the shared wait function of Figure 3. Every blocking
@@ -437,7 +475,9 @@ func (c *Context) touchInternal(fn Func) {
 // panics with HangError — the analog of a watchdog finding the thread
 // parked inside the funnel.
 func (c *Context) internalSync(until simtime.Time, scope SyncScope, outer *Call) {
-	syncCall := &Call{Func: FuncInternalSync, Kind: KindSync, Entry: c.clock.Now(), Scope: scope, Caller: outer.Func}
+	syncCall := c.newCall(FuncInternalSync, KindSync)
+	syncCall.Scope = scope
+	syncCall.Caller = outer.Func
 	if c.captureStacks && c.probed(FuncInternalSync) {
 		syncCall.Stack = c.stack.SharedSnapshot()
 	}
@@ -461,6 +501,7 @@ func (c *Context) internalSync(until simtime.Time, scope SyncScope, outer *Call)
 	if c.listener != nil && scope.CUPTIVisible() {
 		c.listener.SyncRecord(outer.Func, syncCall.SyncStart, syncCall.SyncEnd)
 	}
+	c.freeCall(syncCall)
 }
 
 // reportOp publishes a device activity record.

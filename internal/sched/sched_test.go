@@ -4,10 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"diogenes/internal/obs"
 )
@@ -203,24 +203,35 @@ func TestParentCancellationSkips(t *testing.T) {
 }
 
 // TestResultsKeepSubmissionOrder proves results are ordered by submission,
-// not completion: later tasks finishing first must not reorder the slice.
+// not completion: t0 blocks until the last task has finished, so it
+// finishes after it, and must still come first in the slice.
 // It also covers the metrics surface that replaced per-result timing: every
 // executed task lands in the sched/task_wall_ns histogram.
 func TestResultsKeepSubmissionOrder(t *testing.T) {
+	const n = 16
 	p, err := New(4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := obs.NewRegistry()
 	p.SetMetrics(m)
+	lastDone := make(chan struct{})
+	var finished []int
+	var mu sync.Mutex
 	var tasks []Task
-	for i := 0; i < 16; i++ {
+	for i := 0; i < n; i++ {
 		i := i
 		tasks = append(tasks, Task{
 			Name: fmt.Sprintf("t%d", i),
 			Fn: func(context.Context) error {
-				if i%3 == 0 {
-					time.Sleep(time.Millisecond)
+				if i == 0 {
+					<-lastDone
+				}
+				mu.Lock()
+				finished = append(finished, i)
+				mu.Unlock()
+				if i == n-1 {
+					close(lastDone)
 				}
 				return nil
 			},
@@ -229,6 +240,9 @@ func TestResultsKeepSubmissionOrder(t *testing.T) {
 	res, runErr := p.Run(context.Background(), tasks...)
 	if runErr != nil {
 		t.Fatal(runErr)
+	}
+	if slices.Index(finished, 0) < slices.Index(finished, n-1) {
+		t.Fatalf("completion order %v: t0 finished before t%d", finished, n-1)
 	}
 	for i, r := range res {
 		if r.Name != fmt.Sprintf("t%d", i) {
@@ -246,8 +260,10 @@ func TestResultsKeepSubmissionOrder(t *testing.T) {
 	}
 }
 
-// TestConcurrencyBound proves the pool never runs more tasks at once than
-// its width allows, and that a width above the task count still works.
+// TestConcurrencyBound proves the pool runs exactly as many tasks at once
+// as its width allows: the first tasks wait at a gate that opens only when
+// width of them are in flight, so the pool must reach its width, and must
+// never exceed it.
 func TestConcurrencyBound(t *testing.T) {
 	const width = 3
 	p, err := New(width)
@@ -256,6 +272,7 @@ func TestConcurrencyBound(t *testing.T) {
 	}
 	var mu sync.Mutex
 	inFlight, peak := 0, 0
+	gate, open := make(chan struct{}), false
 	var tasks []Task
 	for i := 0; i < 24; i++ {
 		tasks = append(tasks, Task{Name: fmt.Sprintf("t%d", i), Fn: func(context.Context) error {
@@ -264,8 +281,12 @@ func TestConcurrencyBound(t *testing.T) {
 			if inFlight > peak {
 				peak = inFlight
 			}
+			if inFlight == width && !open {
+				open = true
+				close(gate)
+			}
 			mu.Unlock()
-			time.Sleep(200 * time.Microsecond)
+			<-gate
 			mu.Lock()
 			inFlight--
 			mu.Unlock()
@@ -275,8 +296,8 @@ func TestConcurrencyBound(t *testing.T) {
 	if _, err := p.Run(context.Background(), tasks...); err != nil {
 		t.Fatal(err)
 	}
-	if peak > width {
-		t.Fatalf("peak concurrency %d exceeds pool width %d", peak, width)
+	if peak != width {
+		t.Fatalf("peak concurrency %d, want pool width %d", peak, width)
 	}
 }
 

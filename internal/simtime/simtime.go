@@ -14,6 +14,7 @@
 package simtime
 
 import (
+	"encoding/binary"
 	"fmt"
 	"time"
 )
@@ -184,11 +185,19 @@ func (r *RNG) Jitter(d Duration, frac float64) Duration {
 // Bytes fills p with deterministic pseudo-random bytes. Applications use it
 // to generate transfer payloads whose content hashes are stable across runs,
 // which stage 3's content-based deduplication depends on.
+//
+// Each full 8 bytes take one value, stored little-endian; a short tail
+// takes the low bytes of one more value. A fill of n bytes therefore
+// consumes ceil(n/8) values.
 func (r *RNG) Bytes(p []byte) {
-	for i := 0; i < len(p); i += 8 {
+	for len(p) >= 8 {
+		binary.LittleEndian.PutUint64(p, r.Uint64())
+		p = p[8:]
+	}
+	if len(p) > 0 {
 		v := r.Uint64()
-		for j := 0; j < 8 && i+j < len(p); j++ {
-			p[i+j] = byte(v >> (8 * j))
+		for j := range p {
+			p[j] = byte(v >> (8 * j))
 		}
 	}
 }
