@@ -223,6 +223,9 @@ func (a *AMG) Run(p *proc.Process) error {
 			return err
 		}
 	}
+	if !p.Content() {
+		return nil
+	}
 	data, err := p.Host.Peek(st.(*amgState).residHost.Base(), 8<<10)
 	if err != nil {
 		return err

@@ -137,16 +137,19 @@ func ByName(name string) (Spec, error) {
 // exactly what the Original did (the paper's correctness requirement for
 // every applied fix, §5.1).
 type Checksummer interface {
-	// FinalState returns a digest of the application's results after Run,
-	// or "" if Run has not completed.
+	// FinalState returns a digest of the application's results after a
+	// Run in a process that keeps content (proc.Content), or "" if no such
+	// Run has completed.
 	FinalState() string
 }
 
 // checksum is the synchronized result-digest cell the modelled applications
 // record their FinalState into. A parallel FFM run executes the same App
 // value concurrently from several collection stages (each in its own
-// process); the digest every run computes is identical, but under the Go
-// memory model the concurrent writes still need synchronization.
+// process); the digest every content-keeping run computes is identical, but
+// under the Go memory model the concurrent writes still need
+// synchronization. Timing-only runs have no results and leave the cell
+// alone.
 type checksum struct {
 	mu sync.Mutex
 	v  string

@@ -231,7 +231,7 @@ func TestFixesPreserveResults(t *testing.T) {
 		digests := map[Variant]string{}
 		for _, v := range []Variant{Original, Fixed} {
 			app := build(v)
-			p := spec.Factory().New()
+			p := spec.Factory().NewMode(proc.Content)
 			if err := app.Run(p); err != nil {
 				t.Fatalf("%s(%v): %v", name, v, err)
 			}

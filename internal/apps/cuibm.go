@@ -244,7 +244,7 @@ func (a *CuIBM) Run(p *proc.Process) error {
 			}
 		})
 	}
-	if err == nil {
+	if err == nil && p.Content() {
 		data, e := p.Host.Peek(residual.Base(), 40<<10)
 		if e != nil {
 			return e

@@ -281,7 +281,7 @@ func (a *CumfALS) Run(p *proc.Process) error {
 			p.CPUWork(a.ModelWork)
 		})
 	}
-	if err == nil {
+	if err == nil && p.Content() {
 		data, e := p.Host.Peek(result.Base(), 1024)
 		if e != nil {
 			return e

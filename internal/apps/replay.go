@@ -422,17 +422,27 @@ func (st *replayState) inStack(frames callstack.Trace, body func()) {
 
 // replayRecord re-issues one recorded driver call: stage its payload, plant
 // the pacing kernel that reproduces the recorded wait, pace the CPU to the
-// recorded entry instant, then make the call under the recorded stack.
+// recorded entry instant, then make the call under the recorded stack. A
+// timing-only process stages no payload bytes; the staging ranges are
+// still checked.
 func (st *replayState) replayRecord(rec *trace.Record, op replayOp) error {
-	switch op {
+	var err error
+	switch payload := max(rec.Bytes, 0); op {
 	case opMemcpyH2D, opAsyncH2D:
-		if err := st.p.Host.Poke(st.staging.Base(), expandPayload(rec.Hash, rec.Seq, rec.Bytes)); err != nil {
-			return err
+		if st.p.Content() {
+			err = st.p.Host.Poke(st.staging.Base(), expandPayload(rec.Hash, rec.Seq, payload))
+		} else {
+			err = st.p.Host.PokeN(st.staging.Base(), payload)
 		}
 	case opMemcpyD2H, opAsyncD2HPinned, opAsyncD2HPageable, opPrivateD2H:
-		if err := st.p.Dev.DevWrite(st.devSrc.Base(), expandPayload(rec.Hash, rec.Seq, rec.Bytes)); err != nil {
-			return err
+		if st.p.Content() {
+			err = st.p.Dev.DevWrite(st.devSrc.Base(), expandPayload(rec.Hash, rec.Seq, payload))
+		} else {
+			err = st.p.Dev.DevWriteN(st.devSrc.Base(), payload)
 		}
+	}
+	if err != nil {
+		return err
 	}
 	if err := st.pacingKernel(rec, op); err != nil {
 		return err

@@ -165,7 +165,7 @@ func (a *RodiniaGaussian) Run(p *proc.Process) error {
 			return
 		}
 	})
-	if err == nil {
+	if err == nil && p.Content() {
 		data, e := p.Host.Peek(hostA.Base(), 4096)
 		if e != nil {
 			return e

@@ -122,7 +122,7 @@ func (c *Context) MemcpyH2D(dst gpu.DevPtr, src memory.Addr, n int) error {
 	if err != nil {
 		return err
 	}
-	if err := c.devs[c.cur].DevWrite(dst, data); err != nil {
+	if err := c.devWrite(c.devs[c.cur], dst, data, n); err != nil {
 		return err
 	}
 	c.fillTransfer(call, DirH2D, n, src, n, dst, gpu.LegacyStream)
@@ -157,7 +157,7 @@ func (c *Context) MemcpyD2H(dst memory.Addr, src gpu.DevPtr, n int) error {
 	c.reportOp(op)
 	c.touchInternal(FuncInternalEnqueue)
 	c.internalSync(op.End, SyncImplicit, call)
-	return c.host.Poke(dst, data)
+	return c.hostWrite(dst, data, n)
 }
 
 // MemcpyD2D is a synchronous device-to-device copy.
@@ -172,7 +172,7 @@ func (c *Context) MemcpyD2D(dst, src gpu.DevPtr, n int) error {
 	if err != nil {
 		return err
 	}
-	if err := c.devs[c.cur].DevWrite(dst, data); err != nil {
+	if err := c.devWrite(c.devs[c.cur], dst, data, n); err != nil {
 		return err
 	}
 	call.Dir = DirD2D
@@ -198,7 +198,7 @@ func (c *Context) MemcpyAsyncH2D(dst gpu.DevPtr, src memory.Addr, n int, stream 
 	if err != nil {
 		return err
 	}
-	if err := c.devs[c.cur].DevWrite(dst, data); err != nil {
+	if err := c.devWrite(c.devs[c.cur], dst, data, n); err != nil {
 		return err
 	}
 	c.fillTransfer(call, DirH2D, n, src, n, dst, stream)
@@ -237,7 +237,7 @@ func (c *Context) MemcpyAsyncD2H(dst memory.Addr, src gpu.DevPtr, n int, stream 
 	if c.HostAttrOf(dst) != HostPinned {
 		c.internalSync(op.End, SyncConditional, call)
 	}
-	return c.host.Poke(dst, data)
+	return c.hostWrite(dst, data, n)
 }
 
 // MemsetDev fills device memory asynchronously on the legacy stream.
@@ -290,8 +290,9 @@ func (c *Context) MemsetManaged(addr memory.Addr, v byte, n int) error {
 	return nil
 }
 
-// KernelWrite declares a device range a kernel overwrites; the simulator
-// fills it with seed-derived bytes so later transfers carry real content.
+// KernelWrite declares a device range a kernel overwrites; in a process
+// that keeps content the simulator fills it with seed-derived bytes so
+// later transfers carry real content. Otherwise only the range is checked.
 type KernelWrite struct {
 	Ptr  gpu.DevPtr
 	Size int
@@ -307,14 +308,16 @@ type KernelSpec struct {
 }
 
 // LaunchKernel enqueues a kernel asynchronously. Launches never synchronize,
-// so Diogenes collects no data on them (§5.2).
+// so Diogenes collects no data on them (§5.2). The returned *Op follows
+// gpu.Op's lifetime rule: in a process without an op log it is valid only
+// until the device's next operation.
 func (c *Context) LaunchKernel(spec KernelSpec) (*gpu.Op, error) {
 	call := c.beginCall(FuncLaunchKernel, KindLaunch)
 	defer c.endCall(call)
 	c.clock.Advance(c.cfg.LaunchCost)
 	call.Stream = spec.Stream
 	for _, w := range spec.Writes {
-		if err := c.devs[c.cur].DevWrite(w.Ptr, c.kernelBytes(w)); err != nil {
+		if err := c.devWrite(c.devs[c.cur], w.Ptr, c.kernelBytes(w), w.Size); err != nil {
 			return nil, err
 		}
 	}
@@ -325,9 +328,13 @@ func (c *Context) LaunchKernel(spec KernelSpec) (*gpu.Op, error) {
 }
 
 // kernelBytes generates w's content into the context's scratch buffer,
-// growing it on demand. The slice is valid until the next call; DevWrite
-// copies it and keeps no reference.
+// growing it on demand, or returns nil in a process that keeps no content.
+// The slice is valid until the next call; DevWrite copies it and keeps no
+// reference.
 func (c *Context) kernelBytes(w KernelWrite) []byte {
+	if !c.content {
+		return nil
+	}
 	if cap(c.scratch) < w.Size {
 		c.scratch = make([]byte, w.Size)
 	}
@@ -408,19 +415,21 @@ func (c *Context) MemcpyPeer(dstDev int, dst gpu.DevPtr, srcDev int, src gpu.Dev
 	if err != nil {
 		return err
 	}
-	if err := c.devs[dstDev].DevWrite(dst, data); err != nil {
+	if err := c.devWrite(c.devs[dstDev], dst, data, n); err != nil {
 		return err
 	}
 	call.Dir = DirD2D
 	call.Bytes = n
 	call.DevPtr = dst
 	// The transfer occupies both devices' legacy queues; completion is the
-	// later of the two.
+	// later of the two. Each op is reported before the next enqueue, which
+	// may reuse it when source and destination are one device.
 	srcOp := c.devs[srcDev].EnqueueCopy(gpu.LegacyStream, gpu.OpCopyD2D, "memcpy peer (src)", n)
-	dstOp := c.devs[dstDev].EnqueueCopy(gpu.LegacyStream, gpu.OpCopyD2D, "memcpy peer (dst)", n)
+	srcEnd := srcOp.End
 	c.reportOp(srcOp)
+	dstOp := c.devs[dstDev].EnqueueCopy(gpu.LegacyStream, gpu.OpCopyD2D, "memcpy peer (dst)", n)
 	c.reportOp(dstOp)
 	c.touchInternal(FuncInternalEnqueue)
-	c.internalSync(simtime.Max(srcOp.End, dstOp.End), SyncImplicit, call)
+	c.internalSync(simtime.Max(srcEnd, dstOp.End), SyncImplicit, call)
 	return nil
 }

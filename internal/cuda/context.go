@@ -74,7 +74,8 @@ func (a HostAttr) String() string {
 // callback: the context reuses the frame for a later call once the exit
 // probes and the activity listener have run. A probe that needs a field
 // afterwards copies it (a struct copy `*c` or the field itself); it never
-// keeps the pointer.
+// keeps the pointer. The *gpu.Op of a process without an op log follows
+// the same rule (see gpu.Op).
 type Probe struct {
 	Entry    func(*Call)
 	Exit     func(*Call)
@@ -98,6 +99,9 @@ type ActivityListener interface {
 	// through private entry points are never reported (§2.2).
 	DriverCall(fn Func, entry, exit simtime.Time)
 	// DeviceOp reports a device activity record (kernel, memcpy, memset).
+	// Like a probe's *Call, op is valid only for the duration of the
+	// callback: a device without an op log reuses it for its next
+	// operation. A listener copies the fields it keeps.
 	DeviceOp(op *gpu.Op)
 	// SyncRecord reports a synchronization activity. Only explicit
 	// synchronizations generate these (§2.2).
@@ -144,6 +148,9 @@ type Context struct {
 	host  *memory.Space
 	stack *callstack.Stack
 	cfg   Config
+	// content is whether the process keeps memory contents; without it
+	// transfers and kernel writes move no bytes, only check their ranges.
+	content bool
 
 	hostAttrs map[*memory.Region]HostAttr
 	managed   map[*memory.Region]*gpu.DevBuf // unified host region -> device mirror
@@ -193,6 +200,8 @@ func NewContext(clock *simtime.Clock, dev *gpu.Device, host *memory.Space, stack
 // NewMultiContext creates a context over several devices, matching the
 // multi-GPU nodes of the paper's testbed (each Ray node carried four
 // Pascal-class GPUs). Device 0 is current initially; SetDevice switches.
+// The context moves bytes only when host keeps contents, so the devices
+// must keep content exactly when host does.
 func NewMultiContext(clock *simtime.Clock, devs []*gpu.Device, host *memory.Space, stack *callstack.Stack, cfg Config) *Context {
 	if len(devs) == 0 {
 		panic("cuda: NewMultiContext with no devices")
@@ -203,6 +212,7 @@ func NewMultiContext(clock *simtime.Clock, devs []*gpu.Device, host *memory.Spac
 		host:      host,
 		stack:     stack,
 		cfg:       cfg,
+		content:   host.Content(),
 		hostAttrs: make(map[*memory.Region]HostAttr),
 		managed:   make(map[*memory.Region]*gpu.DevBuf),
 		byFunc:    make(map[Func][]*attachedProbe),
@@ -248,8 +258,14 @@ func (c *Context) SetMetrics(m *obs.Registry) {
 }
 
 // SetPayloadCapture enables copying transfer payloads into Call.Payload for
-// hashing probes (stage 3). Expensive — off by default.
-func (c *Context) SetPayloadCapture(on bool) { c.capturePayloads = on }
+// hashing probes (stage 3). Expensive — off by default. A process that
+// keeps no content has no payloads to capture; asking it to is a bug.
+func (c *Context) SetPayloadCapture(on bool) {
+	if on && !c.content {
+		panic("cuda: payload capture in a process that keeps no content")
+	}
+	c.capturePayloads = on
+}
 
 // SetStackCapture enables stack snapshots on every probed call.
 func (c *Context) SetStackCapture(on bool) { c.captureStacks = on }
@@ -502,6 +518,23 @@ func (c *Context) internalSync(until simtime.Time, scope SyncScope, outer *Call)
 		c.listener.SyncRecord(outer.Func, syncCall.SyncStart, syncCall.SyncEnd)
 	}
 	c.freeCall(syncCall)
+}
+
+// devWrite lands n bytes at dst on dev: data when the process keeps
+// content, the range check alone when it does not (data is nil then).
+func (c *Context) devWrite(dev *gpu.Device, dst gpu.DevPtr, data []byte, n int) error {
+	if !c.content {
+		return dev.DevWriteN(dst, n)
+	}
+	return dev.DevWrite(dst, data)
+}
+
+// hostWrite is devWrite for the host side of a device-to-host transfer.
+func (c *Context) hostWrite(dst memory.Addr, data []byte, n int) error {
+	if !c.content {
+		return c.host.PokeN(dst, n)
+	}
+	return c.host.Poke(dst, data)
 }
 
 // reportOp publishes a device activity record.

@@ -34,6 +34,22 @@ func TestUnprobedCallAllocations(t *testing.T) {
 	if attrs != 0 {
 		t.Errorf("FuncGetAttributes: %v allocs/call, want 0", attrs)
 	}
+
+	// Without content and an op log a launch generates no bytes and reuses
+	// the device's Op, so even a 1 MiB kernel write allocates nothing.
+	te := newTimingEnv()
+	big, err := te.ctx.Malloc(1<<20, "out")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Writes = []KernelWrite{{Ptr: big.Base(), Size: 1 << 20, Seed: 1}}
+	if launch := testing.AllocsPerRun(100, func() {
+		if _, err := te.ctx.LaunchKernel(spec); err != nil {
+			t.Fatal(err)
+		}
+	}); launch != 0 {
+		t.Errorf("timing-only LaunchKernel with a 1 MiB write: %v allocs/call, want 0", launch)
+	}
 }
 
 // TestNestedCallFrames issues a driver call from inside another call's exit

@@ -51,5 +51,5 @@ func (c *Context) PrivateMemcpyD2H(dst memory.Addr, src gpu.DevPtr, n int) error
 	c.reportOp(op)
 	c.touchInternal(FuncInternalEnqueue)
 	c.internalSync(op.End, SyncPrivate, call)
-	return c.host.Poke(dst, data)
+	return c.hostWrite(dst, data, n)
 }

@@ -272,6 +272,20 @@ func (c *ReportCache) ReportHit(key string, compute func() (*ffm.Report, error))
 	return rep, hit, nil
 }
 
+// completedReport returns the report memoized under key if its
+// computation has finished and succeeded, or nil. It neither computes nor
+// waits, and books neither a hit nor a miss.
+func (c *ReportCache) completedReport(key string) *ffm.Report {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.entries["report/"+key]
+	if !ok || !e.accounted || e.err != nil {
+		return nil
+	}
+	rep, _ := e.val.(*ffm.Report)
+	return rep
+}
+
 // runtimeEntryCost is the nominal budget charge for a memoized duration —
 // the entry bookkeeping dwarfs the value itself.
 const runtimeEntryCost = 64

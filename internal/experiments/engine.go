@@ -139,11 +139,14 @@ func (e *Engine) RunFamily(name string, seed uint64, steps int) (*ffm.Report, er
 	return ffm.Run(fam.New(seed, steps, cfg.Factory), cfg)
 }
 
-// ActualReduction measures the real benefit of the paper's fix: it runs the
-// original and fixed builds uninstrumented and returns both runtimes,
-// caching them per variant. On a parallel engine the two variant runs
-// execute concurrently — each in its own fresh process on its own virtual
-// clock, so concurrency cannot change the measured durations.
+// ActualReduction measures the real benefit of the paper's fix: the
+// uninstrumented runtimes of the original and fixed builds, each memoized
+// per variant. The original's uninstrumented run is its pipeline's
+// reference run, so a pipeline report the engine's cache already holds
+// supplies it (rep.UninstrumentedTime) instead of a second simulation. On
+// a parallel engine the runs that remain execute concurrently — each in
+// its own fresh process on its own virtual clock, so concurrency cannot
+// change the measured durations.
 func (e *Engine) ActualReduction(name string, scale float64) (orig, fixed simtime.Duration, err error) {
 	spec, err := apps.ByName(name)
 	if err != nil {
@@ -151,42 +154,54 @@ func (e *Engine) ActualReduction(name string, scale float64) (orig, fixed simtim
 	}
 	cfg := e.config(spec.Factory())
 	var times [2]simtime.Duration
-	variants := []apps.Variant{apps.Original, apps.Fixed}
-	measureInto := func(i int) func(context.Context) error {
-		v := variants[i]
-		return func(context.Context) error {
-			measure := func() (simtime.Duration, error) {
-				p := cfg.Factory.New()
-				if e := proc.SafeRun(spec.New(scale, v), p); e != nil {
-					return 0, fmt.Errorf("experiments: %s(%v): %w", name, v, e)
-				}
-				return p.ExecTime(), nil
-			}
-			var d simtime.Duration
-			var err error
-			if key, ok := CacheKey(name, scale, v, cfg); ok && e.Cache != nil {
-				d, err = e.Cache.Runtime(key, measure)
-			} else {
-				d, err = measure()
-			}
-			times[i] = d
+	measure := func(v apps.Variant) func(context.Context) error {
+		return func(context.Context) (err error) {
+			times[v], err = e.uninstrumented(spec, scale, v, cfg)
 			return err
 		}
 	}
-	if err := sched.GoMetrics(context.Background(), e.stageWidth(), e.Obs.Metrics(), measureInto(0), measureInto(1)); err != nil {
+	tasks := []func(context.Context) error{measure(apps.Original), measure(apps.Fixed)}
+	if key, ok := CacheKey(name, scale, apps.Original, cfg); ok && e.Cache != nil {
+		if rep := e.Cache.completedReport(key); rep != nil {
+			times[apps.Original] = rep.UninstrumentedTime
+			tasks = tasks[1:]
+		}
+	}
+	if err := sched.GoMetrics(context.Background(), e.stageWidth(), e.Obs.Metrics(), tasks...); err != nil {
 		return 0, 0, err
 	}
-	return times[0], times[1], nil
+	return times[apps.Original], times[apps.Fixed], nil
 }
 
-// Table1For computes one application's Table 1 row through the engine. On
-// a parallel engine the FFM pipeline and the two uninstrumented benefit
-// measurements proceed concurrently; the row is assembled from both once
-// they finish.
+// uninstrumented runs one build of the application with no probes, in a
+// timing-only process, and returns its runtime, memoized in the engine's
+// cache.
+func (e *Engine) uninstrumented(spec apps.Spec, scale float64, v apps.Variant, cfg ffm.Config) (simtime.Duration, error) {
+	measure := func() (simtime.Duration, error) {
+		p := cfg.Factory.New()
+		if err := proc.SafeRun(spec.New(scale, v), p); err != nil {
+			return 0, fmt.Errorf("experiments: %s(%v): %w", spec.Name, v, err)
+		}
+		return p.ExecTime(), nil
+	}
+	if key, ok := CacheKey(spec.Name, scale, v, cfg); ok && e.Cache != nil {
+		return e.Cache.Runtime(key, measure)
+	}
+	return measure()
+}
+
+// Table1For computes one application's Table 1 row through the engine. The
+// row's original runtime is the pipeline's reference run; on a parallel
+// engine the pipeline and the fixed build's uninstrumented run proceed
+// concurrently, and the row is assembled from both once they finish.
 func (e *Engine) Table1For(name string, scale float64) (*Table1Row, error) {
+	spec, err := apps.ByName(name)
+	if err != nil {
+		return nil, err
+	}
 	var (
-		rep         *ffm.Report
-		orig, fixed simtime.Duration
+		rep   *ffm.Report
+		fixed simtime.Duration
 	)
 	pipeline := func(context.Context) error {
 		var err error
@@ -195,7 +210,7 @@ func (e *Engine) Table1For(name string, scale float64) (*Table1Row, error) {
 	}
 	reduction := func(context.Context) error {
 		var err error
-		orig, fixed, err = e.ActualReduction(name, scale)
+		fixed, err = e.uninstrumented(spec, scale, apps.Fixed, e.config(spec.Factory()))
 		return err
 	}
 	if err := sched.GoMetrics(context.Background(), e.stageWidth(), e.Obs.Metrics(), pipeline, reduction); err != nil {
@@ -205,7 +220,7 @@ func (e *Engine) Table1For(name string, scale float64) (*Table1Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	return table1Assemble(name, rep, est, orig, fixed), nil
+	return table1Assemble(name, rep, est, rep.UninstrumentedTime, fixed), nil
 }
 
 // Table1 regenerates Table 1, one worker per application.

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"testing"
+
+	"diogenes/internal/apps"
 )
 
 // testScale keeps the reproduction workloads small enough for unit tests
@@ -255,5 +257,40 @@ func TestTable1AllApps(t *testing.T) {
 	}
 	if rows[0].App != "cumf_als" || rows[3].App != "rodinia_gaussian" {
 		t.Fatalf("row order: %v, %v", rows[0].App, rows[3].App)
+	}
+}
+
+// TestReferenceRunIsOriginalRuntime pins the identity Table 1 relies on:
+// the pipeline's uninstrumented reference run is the Original build's
+// uninstrumented run, so a row takes its Original runtime from the report.
+// Once the engine holds the report, ActualReduction simulates only the
+// Fixed build.
+func TestReferenceRunIsOriginalRuntime(t *testing.T) {
+	for _, spec := range apps.Registry() {
+		for _, scale := range []float64{goldenScale, testScale} {
+			fresh, _, err := (&Engine{Workers: 1}).ActualReduction(spec.Name, scale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng := NewEngine(2)
+			rep, err := eng.RunApp(spec.Name, scale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.UninstrumentedTime != fresh {
+				t.Fatalf("%s@%g: reference run %v, Original run %v", spec.Name, scale, rep.UninstrumentedTime, fresh)
+			}
+			_, missesBefore, _ := eng.Cache.Stats()
+			orig, _, err := eng.ActualReduction(spec.Name, scale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if orig != fresh {
+				t.Fatalf("%s@%g: ActualReduction Original %v, want %v", spec.Name, scale, orig, fresh)
+			}
+			if _, misses, _ := eng.Cache.Stats(); misses != missesBefore+1 {
+				t.Fatalf("%s@%g: ActualReduction made %d cache misses after the pipeline, want 1 (the Fixed build)", spec.Name, scale, misses-missesBefore)
+			}
+		}
 	}
 }

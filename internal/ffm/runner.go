@@ -77,7 +77,9 @@ type Report struct {
 	// DeviceOps is the device-operation log of the uninstrumented
 	// reference run, for timeline visualization. Its timestamps line up
 	// with the overhead-compensated trace timestamps to within the
-	// compensation error.
+	// compensation error. The reference run is the only run of the
+	// pipeline that keeps an op log (proc.OpLog); the collection stages
+	// keep none.
 	DeviceOps []*gpu.Op
 
 	// Stage execution times, for the §5.3 overhead accounting.
@@ -160,11 +162,13 @@ func Run(app proc.App, cfg Config) (*Report, error) {
 
 	rep := &Report{App: app.Name()}
 
-	// Reference run: completely uninstrumented.
+	// Reference run: completely uninstrumented. Its device-op log is the
+	// only one a report keeps, and no run but stage 3 reads memory
+	// contents.
 	reference := func(context.Context) error {
 		sp := runSpan.Child(0, "stage", "reference")
 		defer sp.End()
-		p := cfg.Factory.New()
+		p := cfg.Factory.NewMode(proc.OpLog)
 		p.Ctx.SetMetrics(mets)
 		if err := proc.SafeRun(app, p); err != nil {
 			return fmt.Errorf("ffm: uninstrumented run of %s: %w", app.Name(), err)

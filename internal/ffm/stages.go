@@ -190,7 +190,8 @@ func RunMemoryTracing(app proc.App, factory proc.Factory, base *BaselineResult, 
 }
 
 func runMemoryTracing(app proc.App, factory proc.Factory, base *BaselineResult, ov Overheads, mets *obs.Registry) (*trace.Run, error) {
-	p := factory.New()
+	// The only stage that reads memory contents: it hashes every payload.
+	p := factory.NewMode(proc.Content)
 	p.Ctx.SetMetrics(mets)
 
 	store := hashstore.New()

@@ -17,6 +17,10 @@ var ErrOutOfMemory = errors.New("gpu: out of device memory")
 // memory.
 var ErrBadDevPtr = errors.New("gpu: invalid device pointer")
 
+// ErrNoContent reports a byte read from a device that keeps no memory
+// contents (Keep.Content unset). Pointer errors take precedence over it.
+var ErrNoContent = errors.New("gpu: device memory contents not simulated")
+
 // DevBuf is an allocation in device memory. Its bytes are lazy: while data
 // is nil every byte equals fill, so an untouched buffer or one just memset
 // whole costs no host memory. The first write, partial fill or view
@@ -134,27 +138,47 @@ func (d *Device) BufAt(ptr DevPtr) *DevBuf {
 }
 
 // DevWrite stores p at device address ptr (the landing side of an H2D copy
-// or a kernel's output).
+// or a kernel's output). A device that keeps no content checks the write
+// and copies nothing.
 func (d *Device) DevWrite(ptr DevPtr, p []byte) error {
-	b := d.BufAt(ptr)
-	if b == nil {
-		return fmt.Errorf("%w: write %#x", ErrBadDevPtr, ptr)
-	}
-	if ptr+DevPtr(len(p)) > b.End() {
-		return fmt.Errorf("%w: write past end of %q", ErrBadDevPtr, b.label)
+	b, err := d.writeBuf(ptr, len(p))
+	if err != nil || !d.keep.Content {
+		return err
 	}
 	copy(b.dense()[int(ptr-b.base):], p)
 	return nil
 }
 
-// DevRead loads n bytes from device address ptr.
-func (d *Device) DevRead(ptr DevPtr, n int) ([]byte, error) {
+// DevWriteN is the landing of n bytes the caller does not have: it fails
+// exactly as a DevWrite of n bytes would and writes nothing. The driver
+// uses it for transfers and kernel outputs in timing-only processes.
+func (d *Device) DevWriteN(ptr DevPtr, n int) error {
+	_, err := d.writeBuf(ptr, n)
+	return err
+}
+
+// writeBuf returns the live buffer holding [ptr, ptr+n), or the error a
+// write of that range fails with.
+func (d *Device) writeBuf(ptr DevPtr, n int) (*DevBuf, error) {
 	b := d.BufAt(ptr)
 	if b == nil {
-		return nil, fmt.Errorf("%w: read %#x", ErrBadDevPtr, ptr)
+		return nil, fmt.Errorf("%w: write %#x", ErrBadDevPtr, ptr)
 	}
 	if ptr+DevPtr(n) > b.End() {
-		return nil, fmt.Errorf("%w: read past end of %q", ErrBadDevPtr, b.label)
+		return nil, fmt.Errorf("%w: write past end of %q", ErrBadDevPtr, b.label)
+	}
+	return b, nil
+}
+
+// DevRead loads n bytes from device address ptr. A device that keeps no
+// content fails it with ErrNoContent once the pointer checks pass.
+func (d *Device) DevRead(ptr DevPtr, n int) ([]byte, error) {
+	b, err := d.readBuf(ptr, n)
+	if err != nil {
+		return nil, err
+	}
+	if !d.keep.Content {
+		return nil, fmt.Errorf("%w: read %#x", ErrNoContent, ptr)
 	}
 	return b.read(int(ptr-b.base), n), nil
 }
@@ -163,8 +187,20 @@ func (d *Device) DevRead(ptr DevPtr, n int) ([]byte, error) {
 // buffer's live bytes, materialising a uniform buffer first. Callers must
 // treat it as read-only and must not retain it past the operation that
 // requested it — later DevWrite, DevFill or FreeBuf calls change or
-// invalidate the contents.
+// invalidate the contents. A device that keeps no content checks the range
+// and returns nil: there are no bytes to move.
 func (d *Device) DevReadView(ptr DevPtr, n int) ([]byte, error) {
+	b, err := d.readBuf(ptr, n)
+	if err != nil || !d.keep.Content {
+		return nil, err
+	}
+	off := int(ptr - b.base)
+	return b.dense()[off : off+n : off+n], nil
+}
+
+// readBuf returns the live buffer holding [ptr, ptr+n), or the error a
+// read of that range fails with.
+func (d *Device) readBuf(ptr DevPtr, n int) (*DevBuf, error) {
 	b := d.BufAt(ptr)
 	if b == nil {
 		return nil, fmt.Errorf("%w: read %#x", ErrBadDevPtr, ptr)
@@ -172,12 +208,12 @@ func (d *Device) DevReadView(ptr DevPtr, n int) ([]byte, error) {
 	if ptr+DevPtr(n) > b.End() {
 		return nil, fmt.Errorf("%w: read past end of %q", ErrBadDevPtr, b.label)
 	}
-	off := int(ptr - b.base)
-	return b.dense()[off : off+n : off+n], nil
+	return b, nil
 }
 
 // DevFill sets n bytes at ptr to value v (memset landing). A fill of the
-// whole buffer drops its backing and leaves it uniform, so it is O(1).
+// whole buffer drops its backing and leaves it uniform, so it is O(1). A
+// device that keeps no content checks the fill and stores nothing.
 func (d *Device) DevFill(ptr DevPtr, v byte, n int) error {
 	b := d.BufAt(ptr)
 	if b == nil {
@@ -186,7 +222,7 @@ func (d *Device) DevFill(ptr DevPtr, v byte, n int) error {
 	if ptr+DevPtr(n) > b.End() {
 		return fmt.Errorf("%w: fill past end of %q", ErrBadDevPtr, b.label)
 	}
-	if n <= 0 {
+	if n <= 0 || !d.keep.Content {
 		return nil
 	}
 	if ptr == b.base && n == b.size {

@@ -3,7 +3,10 @@ package gpu
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
+
+	"diogenes/internal/simtime"
 )
 
 // Operations decoded by FuzzLazyDevMem. Each consumes the argument bytes
@@ -19,9 +22,11 @@ const (
 	devOps
 )
 
-// shadowBuf is the dense model a DevBuf must agree with.
+// shadowBuf is the dense model a DevBuf must agree with. tbuf is the
+// buffer's twin on the timing-only device.
 type shadowBuf struct {
 	buf   *DevBuf
+	tbuf  *DevBuf
 	data  []byte
 	freed bool
 }
@@ -30,6 +35,12 @@ type shadowBuf struct {
 // against the lazy DevBuf and against a plain []byte per buffer. Every read
 // and view must equal the shadow bytes, and every operation must fail
 // exactly when the shadow says it addresses outside a live buffer.
+//
+// Each sequence is replayed on a timing-only twin as well (no Keep.Content,
+// with writes landing through DevWriteN as the driver's do). Every
+// operation must succeed or fail there with the same error as on the
+// content device, and DevRead must fail with ErrNoContent exactly where
+// the content device returns bytes.
 func FuzzLazyDevMem(f *testing.F) {
 	// A whole fill followed by a one-byte write.
 	f.Add([]byte{devAlloc, 31, devFillWhole, 0, 0x5a, devWrite, 0, 7, 1, 0x01, devRead, 0, 0, 32})
@@ -47,6 +58,7 @@ func FuzzLazyDevMem(f *testing.F) {
 	f.Add([]byte{devAlloc, 7, devWrite, 0, 6, 2, 1, 2, devFillPart, 0, 0, 3, 9, devRead, 0, 0, 8})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		_, d := newDev()
+		td := NewKeeping(simtime.NewClock(), DefaultConfig(), Keep{})
 		var bufs []*shadowBuf
 		next := func() byte {
 			if len(prog) == 0 {
@@ -72,6 +84,13 @@ func FuzzLazyDevMem(f *testing.F) {
 				t.Fatalf("%s: unexpected error %v", op, err)
 			}
 		}
+		// twin checks that the timing-only device failed the same way.
+		twin := func(op string, err, twErr error) {
+			t.Helper()
+			if fmt.Sprint(err) != fmt.Sprint(twErr) {
+				t.Fatalf("%s: timing-only err = %v, content err = %v", op, twErr, err)
+			}
+		}
 		for step := 0; len(prog) > 0; step++ {
 			op := next() % devOps
 			if op == devAlloc || len(bufs) == 0 {
@@ -80,11 +99,18 @@ func FuzzLazyDevMem(f *testing.F) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				bufs = append(bufs, &shadowBuf{buf: b, data: make([]byte, n)})
+				tb, err := td.Malloc(n, "fuzz")
+				if err != nil {
+					t.Fatal(err)
+				}
+				bufs = append(bufs, &shadowBuf{buf: b, tbuf: tb, data: make([]byte, n)})
 				continue
 			}
 			sb := bufs[int(next())%len(bufs)]
 			base := sb.buf.Base()
+			if sb.tbuf.Base() != base {
+				t.Fatalf("twin buffer at %#x, content buffer at %#x", sb.tbuf.Base(), base)
+			}
 			switch op {
 			case devWrite:
 				off, n, bad := span(sb)
@@ -92,38 +118,58 @@ func FuzzLazyDevMem(f *testing.F) {
 				for i := range p {
 					p[i] = next()
 				}
-				check("DevWrite", d.DevWrite(base+DevPtr(off), p), bad)
+				err := d.DevWrite(base+DevPtr(off), p)
+				check("DevWrite", err, bad)
+				twin("DevWrite", err, td.DevWriteN(base+DevPtr(off), n))
 				if !bad {
 					copy(sb.data[off:], p)
 				}
 			case devFillWhole:
 				v := next()
-				check("DevFill whole", d.DevFill(base, v, len(sb.data)), sb.freed)
+				err := d.DevFill(base, v, len(sb.data))
+				check("DevFill whole", err, sb.freed)
+				twin("DevFill whole", err, td.DevFill(base, v, len(sb.data)))
 				if !sb.freed {
 					setBytes(sb.data, v)
 				}
 			case devFillPart:
 				off, n, bad := span(sb)
 				v := next()
-				check("DevFill", d.DevFill(base+DevPtr(off), v, n), bad)
+				err := d.DevFill(base+DevPtr(off), v, n)
+				check("DevFill", err, bad)
+				twin("DevFill", err, td.DevFill(base+DevPtr(off), v, n))
 				if !bad {
 					setBytes(sb.data[off:off+n], v)
 				}
 			case devRead, devView:
 				off, n, bad := span(sb)
-				var got []byte
-				var err error
+				var got, twGot []byte
+				var err, twErr error
 				if op == devRead {
 					got, err = d.DevRead(base+DevPtr(off), n)
+					twGot, twErr = td.DevRead(base+DevPtr(off), n)
+					if err == nil {
+						if !errors.Is(twErr, ErrNoContent) {
+							t.Fatalf("timing-only DevRead: err = %v, want ErrNoContent", twErr)
+						}
+						twErr = nil
+					}
 				} else {
 					got, err = d.DevReadView(base+DevPtr(off), n)
+					twGot, twErr = td.DevReadView(base+DevPtr(off), n)
 				}
 				check("read", err, bad)
+				twin("read", err, twErr)
+				if twGot != nil {
+					t.Fatalf("timing-only read returned bytes %x", twGot)
+				}
 				if !bad && !bytes.Equal(got, sb.data[off:off+n]) {
 					t.Fatalf("step %d: read [%d,%d) = %x, shadow %x", step, off, off+n, got, sb.data[off:off+n])
 				}
 			case devFree:
-				check("FreeBuf", d.FreeBuf(sb.buf), sb.freed)
+				err := d.FreeBuf(sb.buf)
+				check("FreeBuf", err, sb.freed)
+				twin("FreeBuf", err, td.FreeBuf(sb.tbuf))
 				sb.freed = true
 			}
 		}

@@ -59,6 +59,12 @@ func (k OpKind) String() string {
 }
 
 // Op is one operation on the device timeline.
+//
+// An *Op returned by an Enqueue method of a device without an op log
+// (Keep.OpLog unset) is valid only until that device's next Enqueue call,
+// which reuses it. Holders copy the fields they keep and never keep the
+// pointer: the cupti collector, the driver's activity reports and every
+// LaunchKernel caller do.
 type Op struct {
 	Seq     int
 	Kind    OpKind
@@ -114,28 +120,49 @@ type stream struct {
 	readyAt simtime.Time
 }
 
+// Keep selects what a device simulates beyond timing, addresses and
+// errors, which it always simulates.
+type Keep struct {
+	// Content keeps the bytes of device memory. Without it, writes and
+	// fills are checked and dropped, and DevRead fails with ErrNoContent.
+	Content bool
+	// OpLog keeps every enqueued operation for Ops and BusySpans. Without
+	// it, the Enqueue methods reuse one Op per device.
+	OpLog bool
+}
+
 // Device is one simulated GPU.
 type Device struct {
 	clock   *simtime.Clock
 	cfg     Config
+	keep    Keep
 	streams map[StreamID]*stream
 	// legacyFence is the completion time of the most recent legacy-stream
 	// operation; non-legacy streams may not start work before it.
 	legacyFence simtime.Time
 	ops         []*Op
-	nextSeq     int
-	mem         *devAllocator
+	// spare is the one Op a device without an op log hands out, reused by
+	// every Enqueue call.
+	spare   Op
+	nextSeq int
+	mem     *devAllocator
 }
 
-// New creates a device sharing the given CPU clock.
+// New creates a device sharing the given CPU clock that keeps its memory
+// contents and its operation log.
 func New(clock *simtime.Clock, cfg Config) *Device {
-	d := &Device{
+	return NewKeeping(clock, cfg, Keep{Content: true, OpLog: true})
+}
+
+// NewKeeping creates a device that keeps only what keep selects.
+func NewKeeping(clock *simtime.Clock, cfg Config, keep Keep) *Device {
+	return &Device{
 		clock:   clock,
 		cfg:     cfg,
+		keep:    keep,
 		streams: map[StreamID]*stream{LegacyStream: {id: LegacyStream}},
 		mem:     newDevAllocator(cfg.MemoryBytes),
 	}
-	return d
 }
 
 // Config returns the device configuration.
@@ -179,6 +206,20 @@ func (d *Device) startTime(id StreamID, queueLatency simtime.Duration) simtime.T
 	return start
 }
 
+// newOp returns the Op an Enqueue call fills in: a fresh one for the log,
+// or the device's reused spare when it keeps none.
+func (d *Device) newOp(op Op) *Op {
+	if !d.keep.OpLog {
+		d.spare = op
+		return &d.spare
+	}
+	logged := new(Op)
+	*logged = op
+	return logged
+}
+
+// record sequences op, advances its stream and logs op if the device
+// keeps an op log.
 func (d *Device) record(op *Op, id StreamID) *Op {
 	op.Seq = d.nextSeq
 	d.nextSeq++
@@ -187,7 +228,9 @@ func (d *Device) record(op *Op, id StreamID) *Op {
 	if id == LegacyStream {
 		d.legacyFence = op.End
 	}
-	d.ops = append(d.ops, op)
+	if d.keep.OpLog {
+		d.ops = append(d.ops, op)
+	}
 	return op
 }
 
@@ -200,10 +243,10 @@ func (d *Device) EnqueueKernel(id StreamID, name string, dur simtime.Duration) *
 	if dur == simtime.Duration(simtime.Infinity) {
 		end = simtime.Infinity
 	}
-	return d.record(&Op{
+	return d.record(d.newOp(Op{
 		Kind: OpKernel, Name: name, Stream: id,
 		Enqueue: d.clock.Now(), Start: start, End: end,
-	}, id)
+	}), id)
 }
 
 // CopyDuration returns the device-side duration of a transfer of n bytes.
@@ -229,10 +272,10 @@ func (d *Device) EnqueueCopy(id StreamID, kind OpKind, name string, n int) *Op {
 	}
 	start := d.startTime(id, d.cfg.CopyLatency/2)
 	end := start.Add(d.CopyDuration(kind, n))
-	return d.record(&Op{
+	return d.record(d.newOp(Op{
 		Kind: kind, Name: name, Stream: id, Bytes: n,
 		Enqueue: d.clock.Now(), Start: start, End: end,
-	}, id)
+	}), id)
 }
 
 // EnqueueMemset queues a device-side fill of n bytes.
@@ -240,10 +283,10 @@ func (d *Device) EnqueueMemset(id StreamID, name string, n int) *Op {
 	start := d.startTime(id, d.cfg.KernelQueueLatency)
 	dur := d.cfg.CopyLatency + simtime.Duration(n)*simtime.Microsecond/simtime.Duration(d.cfg.MemsetBytesPerUS)
 	end := start.Add(dur)
-	return d.record(&Op{
+	return d.record(d.newOp(Op{
 		Kind: OpMemset, Name: name, Stream: id, Bytes: n,
 		Enqueue: d.clock.Now(), Start: start, End: end,
-	}, id)
+	}), id)
 }
 
 // StreamBusyUntil returns the completion time of all work queued on the
@@ -261,15 +304,17 @@ func (d *Device) BusyUntil() simtime.Time {
 	return t
 }
 
-// Ops returns all recorded device operations in enqueue order. The slice is
-// shared; callers must not modify it.
+// Ops returns all recorded device operations in enqueue order, or nil for a
+// device that keeps no op log (Keep.OpLog unset). The slice is shared;
+// callers must not modify it.
 func (d *Device) Ops() []*Op { return d.ops }
 
-// OpCount returns the number of device operations executed.
-func (d *Device) OpCount() int { return len(d.ops) }
+// OpCount returns the number of device operations executed, logged or not.
+func (d *Device) OpCount() int { return d.nextSeq }
 
 // BusySpans returns the merged intervals during which at least one stream
 // was executing, up to horizon. Infinite kernels are truncated at horizon.
+// It reads the op log, so a device without one reports no spans.
 func (d *Device) BusySpans(horizon simtime.Time) []Span {
 	spans := make([]Span, 0, len(d.ops))
 	for _, op := range d.ops {

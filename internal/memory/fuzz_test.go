@@ -3,6 +3,7 @@ package memory
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 )
 
@@ -22,9 +23,10 @@ const (
 	spOps
 )
 
-// shadowRegion is the dense model a Region must agree with.
+// shadowRegion is the dense model a Region must agree with. tr is the
+// region's twin in the timing-only space.
 type shadowRegion struct {
-	r         *Region
+	r, tr     *Region
 	data      []byte
 	protected bool
 	freed     bool
@@ -35,6 +37,12 @@ type shadowRegion struct {
 // must equal the shadow bytes; every operation must fail with the error the
 // shadow predicts (out of range, use after free, protected); and watchers
 // must see exactly the successful Load and Store calls.
+//
+// Each sequence is replayed on a timing-only twin as well (NewTimingSpace,
+// with writes landing through PokeN as the driver's do). Every operation
+// must succeed or fail there with the same error as on the content space,
+// its watchers must see the same accesses, and byte reads must fail with
+// ErrNoContent exactly where the content space returns bytes.
 func FuzzLazySpace(f *testing.F) {
 	// A whole fill followed by a one-byte write.
 	f.Add([]byte{spAlloc, 31, spFillWhole, 0, 0x5a, spStore, 0, 7, 1, 0x01, spPeek, 0, 0, 32})
@@ -51,9 +59,10 @@ func FuzzLazySpace(f *testing.F) {
 	// A partial fill from the base leaves the tail alone.
 	f.Add([]byte{spAlloc, 7, spPoke, 0, 6, 2, 1, 2, spFillPart, 0, 0, 3, 9, spLoad, 0, 0, 8})
 	f.Fuzz(func(t *testing.T, prog []byte) {
-		s := NewSpace()
-		watched := 0
-		s.Watch(1, ^Addr(0), func(Access) { watched++ })
+		s, tw := NewSpace(), NewTimingSpace()
+		var watched, twWatched []Access
+		s.Watch(1, ^Addr(0), func(a Access) { watched = append(watched, a) })
+		tw.Watch(1, ^Addr(0), func(a Access) { twWatched = append(twWatched, a) })
 		wantWatched := 0
 		var regions []*shadowRegion
 		next := func() byte {
@@ -96,15 +105,25 @@ func FuzzLazySpace(f *testing.F) {
 				t.Fatalf("%s: unexpected error %v", op, err)
 			}
 		}
+		// twin checks that the timing-only space failed the same way.
+		twin := func(op string, err, twErr error) {
+			t.Helper()
+			if fmt.Sprint(err) != fmt.Sprint(twErr) {
+				t.Fatalf("%s: timing-only err = %v, content err = %v", op, twErr, err)
+			}
+		}
 		for step := 0; len(prog) > 0; step++ {
 			op := next() % spOps
 			if op == spAlloc || len(regions) == 0 {
 				n := 1 + int(next()%64)
-				regions = append(regions, &shadowRegion{r: s.Alloc(n, "fuzz"), data: make([]byte, n)})
+				regions = append(regions, &shadowRegion{r: s.Alloc(n, "fuzz"), tr: tw.Alloc(n, "fuzz"), data: make([]byte, n)})
 				continue
 			}
 			sr := regions[int(next())%len(regions)]
 			base := sr.r.Base()
+			if sr.tr.Base() != base {
+				t.Fatalf("twin region at %#x, content region at %#x", sr.tr.Base(), base)
+			}
 			switch op {
 			case spStore, spPoke:
 				k := int(Store)
@@ -118,9 +137,13 @@ func FuzzLazySpace(f *testing.F) {
 					p[i] = next()
 				}
 				if op == spStore {
-					check("Store", s.Store(site, base+Addr(off), p), want)
+					err := s.Store(site, base+Addr(off), p)
+					check("Store", err, want)
+					twin("Store", err, tw.Store(site, base+Addr(off), p))
 				} else {
-					check("Poke", s.Poke(base+Addr(off), p), want)
+					err := s.Poke(base+Addr(off), p)
+					check("Poke", err, want)
+					twin("Poke", err, tw.PokeN(base+Addr(off), n))
 				}
 				if want == nil {
 					copy(sr.data[off:], p)
@@ -135,7 +158,9 @@ func FuzzLazySpace(f *testing.F) {
 					want = ErrOutOfRange
 				}
 				want = writeErr(sr, want)
-				check("Fill whole", s.Fill(base, v, len(sr.data)), want)
+				err := s.Fill(base, v, len(sr.data))
+				check("Fill whole", err, want)
+				twin("Fill whole", err, tw.Fill(base, v, len(sr.data)))
 				if want == nil {
 					setBytes(sr.data, v)
 				}
@@ -143,7 +168,9 @@ func FuzzLazySpace(f *testing.F) {
 				off, n, want := span(sr, -1)
 				want = writeErr(sr, want)
 				v := next()
-				check("Fill", s.Fill(base+Addr(off), v, n), want)
+				err := s.Fill(base+Addr(off), v, n)
+				check("Fill", err, want)
+				twin("Fill", err, tw.Fill(base+Addr(off), v, n))
 				if want == nil {
 					setBytes(sr.data[off:off+n], v)
 				}
@@ -153,17 +180,30 @@ func FuzzLazySpace(f *testing.F) {
 					k = int(Load)
 				}
 				off, n, want := span(sr, k)
-				var got []byte
-				var err error
+				var got, twGot []byte
+				var err, twErr error
 				switch op {
 				case spLoad:
 					got, err = s.Load(site, base+Addr(off), n)
+					twGot, twErr = tw.Load(site, base+Addr(off), n)
 				case spPeek:
 					got, err = s.Peek(base+Addr(off), n)
+					twGot, twErr = tw.Peek(base+Addr(off), n)
+					if err == nil {
+						if !errors.Is(twErr, ErrNoContent) {
+							t.Fatalf("timing-only Peek: err = %v, want ErrNoContent", twErr)
+						}
+						twErr = nil
+					}
 				default:
 					got, err = s.PeekView(base+Addr(off), n)
+					twGot, twErr = tw.PeekView(base+Addr(off), n)
 				}
 				check("read", err, want)
+				twin("read", err, twErr)
+				if twGot != nil {
+					t.Fatalf("timing-only read returned bytes %x", twGot)
+				}
 				if want == nil {
 					if !bytes.Equal(got, sr.data[off:off+n]) {
 						t.Fatalf("step %d: read [%d,%d) = %x, shadow %x", step, off, off+n, got, sr.data[off:off+n])
@@ -175,19 +215,25 @@ func FuzzLazySpace(f *testing.F) {
 			case spProtect:
 				if sr.protected {
 					s.Unprotect(sr.r)
+					tw.Unprotect(sr.tr)
 				} else {
 					s.Protect(sr.r)
+					tw.Protect(sr.tr)
 				}
 				sr.protected = !sr.protected
 			case spFree:
 				if !sr.freed {
 					s.Free(sr.r)
+					tw.Free(sr.tr)
 					sr.freed = true
 				}
 			}
 		}
-		if watched != wantWatched {
-			t.Fatalf("watch fired %d times, want %d (one per successful Load/Store)", watched, wantWatched)
+		if len(watched) != wantWatched {
+			t.Fatalf("watch fired %d times, want %d (one per successful Load/Store)", len(watched), wantWatched)
+		}
+		if fmt.Sprint(twWatched) != fmt.Sprint(watched) {
+			t.Fatalf("timing-only watch saw %v, content watch %v", twWatched, watched)
 		}
 		for i, sr := range regions {
 			if sr.freed {

@@ -9,13 +9,20 @@
 // mprotect to prove a removed transfer's source is never modified.
 //
 // Space reproduces those capabilities: it allocates labelled regions in a
-// flat virtual address space, keeps their contents (so stage 3 can hash
-// transfer payloads), dispatches instrumented Load/Store accesses to range
-// watchers, and supports an mprotect-style write protection flag. Contents
-// are lazy: a region holds no bytes while every byte has one value (fresh
-// from Alloc, or after a Fill of the whole region), and materialises them
-// on its first write, partial fill or view. Reads see the same bytes either
-// way.
+// flat virtual address space, dispatches instrumented Load/Store accesses to
+// range watchers, and supports an mprotect-style write protection flag.
+//
+// A space built by NewSpace keeps its regions' contents, so stage 3 can
+// hash transfer payloads. Contents are lazy: a region holds no bytes while
+// every byte has one value (fresh from Alloc, or after a Fill of the whole
+// region), and materialises them on its first write, partial fill or view.
+// Reads see the same bytes either way.
+//
+// A space built by NewTimingSpace keeps no contents at all, for runs whose
+// consumers read only addresses, sizes and virtual time. It checks every
+// access exactly as a content space does (range, protection, use after
+// free, watchers), then skips the copy or fill. Peek fails with
+// ErrNoContent instead of inventing bytes.
 package memory
 
 import (
@@ -143,6 +150,9 @@ var (
 	ErrOutOfRange   = errors.New("memory: access outside any live region")
 	ErrProtected    = errors.New("memory: store to write-protected region")
 	ErrUseAfterFree = errors.New("memory: access to freed region")
+	// ErrNoContent reports a byte read from a space that keeps no
+	// contents (NewTimingSpace). Range errors take precedence over it.
+	ErrNoContent = errors.New("memory: contents not simulated")
 )
 
 // WatchID identifies a registered range watcher.
@@ -164,6 +174,8 @@ type watch struct {
 // use; the simulated process has a single application thread, matching the
 // CPU-side behaviour Diogenes instruments.
 type Space struct {
+	// timing marks a space that keeps no contents (NewTimingSpace).
+	timing  bool
 	next    Addr
 	regions []*Region // sorted by base
 	watches []watch
@@ -179,6 +191,16 @@ type Space struct {
 func NewSpace() *Space {
 	return &Space{next: PageSize}
 }
+
+// NewTimingSpace returns an empty address space that keeps no contents:
+// every access is checked and reported as in NewSpace, but no byte is
+// stored, and reads of bytes fail with ErrNoContent.
+func NewTimingSpace() *Space {
+	return &Space{timing: true, next: PageSize}
+}
+
+// Content reports whether the space keeps its regions' contents.
+func (s *Space) Content() bool { return !s.timing }
 
 // Loads returns the number of instrumented load accesses performed.
 func (s *Space) Loads() int64 { return s.loads }
@@ -273,7 +295,8 @@ func (s *Space) dispatch(a Access) {
 }
 
 // Load performs an instrumented read of n bytes at addr from site. The
-// returned slice is a copy.
+// returned slice is a copy; a timing-only space returns nil, since the
+// access, not the bytes, is what its consumers observe.
 func (s *Space) Load(site Site, addr Addr, n int) ([]byte, error) {
 	r := s.RegionAt(addr)
 	if r == nil {
@@ -287,6 +310,9 @@ func (s *Space) Load(site Site, addr Addr, n int) ([]byte, error) {
 	}
 	s.loads++
 	s.dispatch(Access{Kind: Load, Addr: addr, Size: n, Site: site})
+	if s.timing {
+		return nil, nil
+	}
 	return r.read(int(addr-r.base), n), nil
 }
 
@@ -307,19 +333,22 @@ func (s *Space) Store(site Site, addr Addr, p []byte) error {
 	}
 	s.stores++
 	s.dispatch(Access{Kind: Store, Addr: addr, Size: len(p), Site: site})
-	copy(r.dense()[int(addr-r.base):], p)
+	if !s.timing {
+		copy(r.dense()[int(addr-r.base):], p)
+	}
 	return nil
 }
 
-// Peek reads n bytes at addr without generating an access event. The driver
-// uses it as the DMA read path when hashing or copying transfer payloads.
+// Peek reads n bytes at addr without generating an access event: the read
+// path of tests and result checksums. A timing-only space fails it with
+// ErrNoContent once the range checks pass.
 func (s *Space) Peek(addr Addr, n int) ([]byte, error) {
-	r := s.RegionAt(addr)
-	if r == nil {
-		return nil, fmt.Errorf("%w: peek %#x", ErrOutOfRange, addr)
+	r, err := s.peekRegion(addr, n)
+	if err != nil {
+		return nil, err
 	}
-	if addr+Addr(n) > r.End() {
-		return nil, fmt.Errorf("%w: peek past end of %q", ErrOutOfRange, r.label)
+	if s.timing {
+		return nil, fmt.Errorf("%w: peek %#x", ErrNoContent, addr)
 	}
 	return r.read(int(addr-r.base), n), nil
 }
@@ -329,8 +358,20 @@ func (s *Space) Peek(addr Addr, n int) ([]byte, error) {
 // treat it as read-only and must not retain it past the operation that
 // requested it — any later Store, Poke, Fill or Free changes or invalidates
 // the contents. The driver's transfer paths use it so capturing a payload
-// for hashing does not cost an allocation per transfer.
+// for hashing does not cost an allocation per transfer. A timing-only
+// space checks the range and returns nil: there are no bytes to move.
 func (s *Space) PeekView(addr Addr, n int) ([]byte, error) {
+	r, err := s.peekRegion(addr, n)
+	if err != nil || s.timing {
+		return nil, err
+	}
+	off := int(addr - r.base)
+	return r.dense()[off : off+n : off+n], nil
+}
+
+// peekRegion returns the live region holding [addr, addr+n), or the error
+// a DMA read of that range fails with.
+func (s *Space) peekRegion(addr Addr, n int) (*Region, error) {
 	r := s.RegionAt(addr)
 	if r == nil {
 		return nil, fmt.Errorf("%w: peek %#x", ErrOutOfRange, addr)
@@ -338,30 +379,49 @@ func (s *Space) PeekView(addr Addr, n int) ([]byte, error) {
 	if addr+Addr(n) > r.End() {
 		return nil, fmt.Errorf("%w: peek past end of %q", ErrOutOfRange, r.label)
 	}
-	off := int(addr - r.base)
-	return r.dense()[off : off+n : off+n], nil
+	return r, nil
 }
 
 // Poke writes p at addr without generating an access event (DMA write path,
-// e.g. a device-to-host transfer landing). Protected pages still fault.
+// e.g. a device-to-host transfer landing). Protected pages still fault. A
+// timing-only space checks the write and copies nothing.
 func (s *Space) Poke(addr Addr, p []byte) error {
-	r := s.RegionAt(addr)
-	if r == nil {
-		return fmt.Errorf("%w: poke %#x", ErrOutOfRange, addr)
-	}
-	if addr+Addr(len(p)) > r.End() {
-		return fmt.Errorf("%w: poke past end of %q", ErrOutOfRange, r.label)
-	}
-	if r.protected {
-		return fmt.Errorf("%w: %q at %#x", ErrProtected, r.label, addr)
+	r, err := s.pokeRegion(addr, len(p))
+	if err != nil || s.timing {
+		return err
 	}
 	copy(r.dense()[int(addr-r.base):], p)
 	return nil
 }
 
+// PokeN is the landing of n bytes the caller does not have: it fails
+// exactly as a Poke of n bytes would and writes nothing. The driver's
+// transfers use it in timing-only processes, which carry no payload.
+func (s *Space) PokeN(addr Addr, n int) error {
+	_, err := s.pokeRegion(addr, n)
+	return err
+}
+
+// pokeRegion returns the live, writable region holding [addr, addr+n), or
+// the error a DMA write of that range fails with.
+func (s *Space) pokeRegion(addr Addr, n int) (*Region, error) {
+	r := s.RegionAt(addr)
+	if r == nil {
+		return nil, fmt.Errorf("%w: poke %#x", ErrOutOfRange, addr)
+	}
+	if addr+Addr(n) > r.End() {
+		return nil, fmt.Errorf("%w: poke past end of %q", ErrOutOfRange, r.label)
+	}
+	if r.protected {
+		return nil, fmt.Errorf("%w: %q at %#x", ErrProtected, r.label, addr)
+	}
+	return r, nil
+}
+
 // Fill sets n bytes at addr to v without generating an access event (the
 // DMA path of a memset). It fails exactly as a Poke of n bytes would. A fill
-// of the whole region drops its backing, so it is O(1).
+// of the whole region drops its backing, so it is O(1). A timing-only space
+// checks the fill and stores nothing.
 func (s *Space) Fill(addr Addr, v byte, n int) error {
 	r := s.RegionAt(addr)
 	if r == nil {
@@ -373,7 +433,7 @@ func (s *Space) Fill(addr Addr, v byte, n int) error {
 	if r.protected {
 		return fmt.Errorf("%w: %q at %#x", ErrProtected, r.label, addr)
 	}
-	if n == 0 {
+	if n == 0 || s.timing {
 		return nil
 	}
 	if addr == r.base && n == r.size {

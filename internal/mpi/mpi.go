@@ -145,6 +145,9 @@ func NewWorld(prog RankProgram, cfg Config, observed int, observedProc *proc.Pro
 		if r == observed {
 			w.procs[r] = observedProc
 		} else {
+			// Background ranks run timing-only whatever the observed
+			// rank keeps: ranks exchange only barriers, never data, so
+			// nothing reads their bytes or device-op logs.
 			w.procs[r] = cfg.Factory.New()
 		}
 		st, err := prog.Setup(w.procs[r], r)

@@ -25,21 +25,42 @@ type Process struct {
 	Ctx   *cuda.Context
 }
 
-// New creates a fresh single-GPU process with the given device and driver
-// configurations.
+// Mode selects what a process simulates beyond what every process does:
+// virtual time, addresses, sizes, lazy allocation and every bounds,
+// protection and use-after-free error. The zero Mode is a timing-only
+// process. Whoever builds a process picks its Mode for the consumers of
+// that one run; it is never a user setting.
+type Mode uint8
+
+// Process modes; they combine with |.
+const (
+	// Content keeps the bytes of host and device memory: transfers copy
+	// them, kernels generate their writes, and Host.Peek can read them.
+	// Runs that hash payloads or checksum results need it.
+	Content Mode = 1 << iota
+	// OpLog keeps every device's operation log (gpu.Device.Ops).
+	OpLog
+)
+
+// New creates a fresh timing-only single-GPU process with the given device
+// and driver configurations.
 func New(gcfg gpu.Config, ccfg cuda.Config) *Process {
-	return NewMulti(gcfg, ccfg, 1)
+	return NewMulti(gcfg, ccfg, 1, 0)
 }
 
 // NewMulti creates a process with n identical devices, like the four-GPU
-// nodes of the paper's testbed.
-func NewMulti(gcfg gpu.Config, ccfg cuda.Config, n int) *Process {
+// nodes of the paper's testbed, simulating what mode selects.
+func NewMulti(gcfg gpu.Config, ccfg cuda.Config, n int, mode Mode) *Process {
 	clock := simtime.NewClock()
+	keep := gpu.Keep{Content: mode&Content != 0, OpLog: mode&OpLog != 0}
 	devs := make([]*gpu.Device, n)
 	for i := range devs {
-		devs[i] = gpu.New(clock, gcfg)
+		devs[i] = gpu.NewKeeping(clock, gcfg, keep)
 	}
-	host := memory.NewSpace()
+	host := memory.NewTimingSpace()
+	if keep.Content {
+		host = memory.NewSpace()
+	}
 	stack := callstack.New()
 	return &Process{
 		Clock: clock,
@@ -50,6 +71,11 @@ func NewMulti(gcfg gpu.Config, ccfg cuda.Config, n int) *Process {
 		Ctx:   cuda.NewMultiContext(clock, devs, host, stack, ccfg),
 	}
 }
+
+// Content reports whether the process keeps memory contents. Applications
+// compute result checksums only when it does: a timing-only process has no
+// results to digest.
+func (p *Process) Content() bool { return p.Host.Content() }
 
 // App is a deterministic application that FFM can execute repeatedly.
 // Run must perform identical sequences of driver calls and memory accesses
@@ -101,7 +127,7 @@ func (p *Process) site(line int) memory.Site {
 // Read performs an instrumented load of n bytes at addr, attributed to the
 // given line of the current function. Applications use it for the CPU-side
 // consumption of GPU results — the accesses stage 3's load/store analysis
-// looks for.
+// looks for. A timing-only process returns nil bytes.
 func (p *Process) Read(addr memory.Addr, n int, line int) ([]byte, error) {
 	p.At(line)
 	return p.Host.Load(p.site(line), addr, n)
@@ -132,13 +158,17 @@ type Factory struct {
 	Prepare func(*Process)
 }
 
-// New creates a process from the factory's configuration.
-func (f Factory) New() *Process {
+// New creates a timing-only process from the factory's configuration.
+func (f Factory) New() *Process { return f.NewMode(0) }
+
+// NewMode creates a process from the factory's configuration that
+// simulates what mode selects.
+func (f Factory) NewMode(mode Mode) *Process {
 	n := f.Devices
 	if n < 1 {
 		n = 1
 	}
-	p := NewMulti(f.GPU, f.CUDA, n)
+	p := NewMulti(f.GPU, f.CUDA, n, mode)
 	if f.Prepare != nil {
 		f.Prepare(p)
 	}

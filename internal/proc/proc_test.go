@@ -1,10 +1,12 @@
 package proc
 
 import (
+	"errors"
 	"testing"
 
 	"diogenes/internal/cuda"
 	"diogenes/internal/gpu"
+	"diogenes/internal/memory"
 	"diogenes/internal/simtime"
 )
 
@@ -51,7 +53,7 @@ func TestInManagesFrames(t *testing.T) {
 }
 
 func TestReadWriteAttribution(t *testing.T) {
-	p := DefaultFactory().New()
+	p := DefaultFactory().NewMode(Content)
 	r := p.Host.Alloc(64, "buf")
 	p.In("consume", "app.cpp", 5, func() {
 		if err := p.Write(r.Base(), []byte{1, 2, 3}, 7); err != nil {
@@ -132,5 +134,41 @@ func TestFactoryPrepareHook(t *testing.T) {
 	_ = f.New()
 	if prepared != 2 {
 		t.Fatalf("Prepare ran %d times, want 2", prepared)
+	}
+}
+
+// TestTimingOnlyReadsFail: a process built without Content checks every
+// access but has no bytes to return, so byte reads fail with the named
+// errors instead of inventing contents; asking for Content restores them.
+func TestTimingOnlyReadsFail(t *testing.T) {
+	p := DefaultFactory().New()
+	if p.Content() {
+		t.Fatal("default process keeps content")
+	}
+	r := p.Host.Alloc(64, "buf")
+	if err := p.Host.Poke(r.Base(), []byte{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Host.Peek(r.Base(), 3); !errors.Is(err, memory.ErrNoContent) {
+		t.Fatalf("Peek on timing-only memory: err = %v, want ErrNoContent", err)
+	}
+	if _, err := p.Host.Peek(r.Base(), 65); !errors.Is(err, memory.ErrOutOfRange) {
+		t.Fatalf("out-of-range Peek: err = %v, want ErrOutOfRange first", err)
+	}
+	b, err := p.Dev.Malloc(64, "dev")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Dev.DevRead(b.Base(), 8); !errors.Is(err, gpu.ErrNoContent) {
+		t.Fatalf("DevRead on timing-only memory: err = %v, want ErrNoContent", err)
+	}
+
+	full := DefaultFactory().NewMode(Content)
+	r = full.Host.Alloc(64, "buf")
+	if err := full.Host.Poke(r.Base(), []byte{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := full.Host.Peek(r.Base(), 3); err != nil || got[2] != 3 {
+		t.Fatalf("Peek with Content = %v, %v", got, err)
 	}
 }

@@ -43,6 +43,7 @@ func TestTwoServersSharedStoreRace(t *testing.T) {
 			wg.Add(1)
 			go func(s *Server, seed int) {
 				defer wg.Done()
+				var last *Job
 				for i := 0; i < 6; i++ {
 					req := Request{
 						Kind:  KindRun,
@@ -51,10 +52,14 @@ func TestTwoServersSharedStoreRace(t *testing.T) {
 					}
 					j, err := s.Submit(req)
 					if err != nil {
-						// Backpressure is a legitimate outcome; retry later.
-						time.Sleep(time.Millisecond)
+						// Backpressure is a legitimate outcome: let this
+						// client's previous job finish before the next.
+						if last != nil {
+							<-last.Done()
+						}
 						continue
 					}
+					last = j
 					mu.Lock()
 					accepted = append(accepted, j)
 					mu.Unlock()

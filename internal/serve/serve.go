@@ -138,6 +138,10 @@ type Server struct {
 	// hookRunning, when non-nil, is called as each job enters the running
 	// state — a test seam for holding jobs in flight deterministically.
 	hookRunning func(j *Job)
+	// hookShutdown, when non-nil, is called by Shutdown once submissions
+	// are refused and before the drain — a test seam for observing that
+	// moment without polling.
+	hookShutdown func()
 	// hookCanceled, when non-nil, is called by handleCancel between
 	// canceling the job and rendering its view — the window where
 	// retention shedding once raced the handler's re-lookup.
@@ -351,6 +355,9 @@ func (s *Server) Cancel(id string) *Job {
 // the background but Shutdown returns the context error.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.accepting.Store(false)
+	if s.hookShutdown != nil {
+		s.hookShutdown()
+	}
 	done := make(chan struct{})
 	go func() {
 		s.queue.Close()

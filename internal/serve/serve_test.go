@@ -243,6 +243,8 @@ func TestShutdownDrainsInFlightJob(t *testing.T) {
 	}
 	<-entered // in flight
 
+	stopping := make(chan struct{})
+	s.hookShutdown = func() { close(stopping) }
 	shutdownErr := make(chan error, 1)
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -251,16 +253,9 @@ func TestShutdownDrainsInFlightJob(t *testing.T) {
 	}()
 
 	// The server must refuse new work as soon as shutdown begins.
-	refused := false
-	for i := 0; i < 1000; i++ {
-		if _, err := s.Submit(Request{Kind: KindRun, App: "cuibm", Scale: 0.02}); err == ErrShuttingDown {
-			refused = true
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if !refused {
-		t.Fatal("submissions still accepted during shutdown")
+	<-stopping
+	if _, err := s.Submit(Request{Kind: KindRun, App: "cuibm", Scale: 0.02}); err != ErrShuttingDown {
+		t.Fatalf("submission during shutdown: err = %v, want ErrShuttingDown", err)
 	}
 
 	close(release)
