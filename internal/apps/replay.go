@@ -65,15 +65,6 @@ type ReplayApp struct {
 	Trace *trace.Run
 }
 
-// NewReplayApp wraps a trace for replay. Lazily computed record fields are
-// materialized here, once, so concurrent stage runs see a frozen document.
-func NewReplayApp(run *trace.Run) *ReplayApp {
-	if run != nil {
-		run.ResolveHashes()
-	}
-	return &ReplayApp{Trace: run}
-}
-
 // Name reports the replayed application's own name: the analysis of a
 // faithful replay is byte-identical to the original's, headline included.
 func (a *ReplayApp) Name() string {

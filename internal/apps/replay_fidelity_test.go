@@ -101,7 +101,7 @@ func TestReplayFidelity(t *testing.T) {
 			orig, run, cfg := captureTrace(t, apps.Must(name), fidelityScale)
 			want := renderAnalysis(t, orig.Analysis)
 
-			replayed, err := ffm.Run(apps.NewReplayApp(run), cfg)
+			replayed, err := ffm.Run(&apps.ReplayApp{Trace: run}, cfg)
 			if err != nil {
 				t.Fatalf("replay run: %v", err)
 			}

@@ -56,6 +56,6 @@ func FuzzReplay(f *testing.F) {
 		p := proc.DefaultFactory().New()
 		// SafeRun converts simulated deadlocks to errors; any other panic
 		// propagates and fails the fuzz run.
-		_ = proc.SafeRun(apps.NewReplayApp(run), p)
+		_ = proc.SafeRun(&apps.ReplayApp{Trace: run}, p)
 	})
 }

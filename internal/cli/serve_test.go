@@ -10,11 +10,38 @@ import (
 	"path/filepath"
 	"runtime/debug"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"diogenes/internal/buildinfo"
 )
+
+// listenWriter is serve's output in tests: it keeps everything written and
+// closes listening once serve has printed its "listening on" line, which
+// serve writes only after the -addr-file.
+type listenWriter struct {
+	mu        sync.Mutex
+	buf       strings.Builder
+	listening chan struct{}
+}
+
+func (w *listenWriter) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	n, err := w.buf.Write(p)
+	if w.listening != nil && strings.Contains(w.buf.String(), "listening on") {
+		close(w.listening)
+		w.listening = nil
+	}
+	return n, err
+}
+
+func (w *listenWriter) String() string {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.buf.String()
+}
 
 // startServe runs the serve subcommand in the background with a
 // cancellable lifetime and returns the bound base URL plus a stopper that
@@ -24,23 +51,23 @@ func startServe(t *testing.T, extraArgs ...string) (string, func() error) {
 	addrFile := filepath.Join(t.TempDir(), "addr")
 	ctx, cancel := context.WithCancel(context.Background())
 	args := append([]string{"-addr", "127.0.0.1:0", "-addr-file", addrFile}, extraArgs...)
-	var out strings.Builder
+	listening := make(chan struct{})
+	out := &listenWriter{listening: listening}
 	errCh := make(chan error, 1)
-	go func() { errCh <- serveWithContext(ctx, &out, args) }()
+	go func() { errCh <- serveWithContext(ctx, out, args) }()
 
-	deadline := time.Now().Add(10 * time.Second)
-	var addr string
-	for addr == "" {
-		if time.Now().After(deadline) {
-			cancel()
-			t.Fatalf("serve never wrote %s; output so far: %s", addrFile, out.String())
-		}
-		if b, err := os.ReadFile(addrFile); err == nil {
-			addr = strings.TrimSpace(string(b))
-		} else {
-			time.Sleep(5 * time.Millisecond)
-		}
+	select {
+	case <-listening:
+	case err := <-errCh:
+		cancel()
+		t.Fatalf("serve exited before listening: %v; output: %s", err, out.String())
 	}
+	b, err := os.ReadFile(addrFile)
+	if err != nil {
+		cancel()
+		t.Fatalf("serve is listening but -addr-file is unreadable: %v", err)
+	}
+	addr := strings.TrimSpace(string(b))
 	stop := func() error {
 		cancel()
 		select {

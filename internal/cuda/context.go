@@ -343,8 +343,13 @@ func (c *Context) ProbeOverheadOf(fn Func) simtime.Duration {
 	return total
 }
 
+// rebuildProbeIndex repoints byFunc at the probes slice after it changed.
+// It reuses the map and each function's slice, so a warm attach/detach
+// cycle allocates nothing.
 func (c *Context) rebuildProbeIndex() {
-	c.byFunc = make(map[Func][]*attachedProbe)
+	for fn, aps := range c.byFunc {
+		c.byFunc[fn] = aps[:0]
+	}
 	for i := range c.probes {
 		ap := &c.probes[i]
 		c.byFunc[ap.fn] = append(c.byFunc[ap.fn], ap)

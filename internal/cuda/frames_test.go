@@ -238,3 +238,39 @@ func TestFramesAfterRecoveredHang(t *testing.T) {
 		t.Fatalf("funnel callers = %v, want %v", callers, want)
 	}
 }
+
+// TestProbeAttachDetachAllocations pins the probe index's reuse: once a
+// context has held a probe set, attaching and detaching a probe again
+// allocates nothing, and the index still fires exactly the attached probes.
+func TestProbeAttachDetachAllocations(t *testing.T) {
+	e := newEnv()
+	fired := map[Func]int{}
+	count := func(c *Call) { fired[c.Func]++ }
+	for _, fn := range []Func{FuncMalloc, FuncFree, FuncMemcpy} {
+		e.ctx.AttachProbe(fn, Probe{Exit: count})
+	}
+	probe := Probe{Exit: count}
+	cycle := func() { e.ctx.DetachProbe(e.ctx.AttachProbe(FuncMalloc, probe)) }
+	cycle() // warm: the index slices reach their largest size
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("warm AttachProbe+DetachProbe: %v allocs/cycle, want 0", allocs)
+	}
+
+	buf, err := e.ctx.Malloc(64, "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.ctx.Free(buf); err != nil {
+		t.Fatal(err)
+	}
+	if fired[FuncMalloc] != 1 || fired[FuncFree] != 1 || e.ctx.ProbeCount() != 3 {
+		t.Fatalf("after attach/detach cycles: fired %v, %d probes attached", fired, e.ctx.ProbeCount())
+	}
+	e.ctx.DetachAllProbes()
+	if _, err := e.ctx.Malloc(64, "y"); err != nil {
+		t.Fatal(err)
+	}
+	if fired[FuncMalloc] != 1 {
+		t.Fatal("a probe fired after DetachAllProbes")
+	}
+}

@@ -92,8 +92,8 @@ func CacheKey(app string, scale float64, variant apps.Variant, cfg ffm.Config) (
 // behaviour.
 //
 // Cached values are shared: callers must treat a returned *ffm.Report as
-// immutable. The cache resolves a report's lazy trace hashes before
-// publishing it, so concurrent readers never write to it.
+// immutable. Rendering a report only reads it, so concurrent readers need
+// no further coordination.
 type ReportCache struct {
 	mu      sync.Mutex
 	entries map[string]*cacheEntry
@@ -247,13 +247,6 @@ func (c *ReportCache) ReportHit(key string, compute func() (*ffm.Report, error))
 		rep, err := compute()
 		if err != nil {
 			return rep, 0, err
-		}
-		// Cached reports are shared read-only by concurrent readers (fleet
-		// folds, served renders, table2/autofix). Fill the trace's lazy
-		// stage-3 hashes now, before the report is published, so no reader
-		// ever writes them: resolving on first render would race.
-		if rep != nil && rep.Trace != nil {
-			rep.Trace.ResolveHashes()
 		}
 		size := reportCost(rep)
 		c.mu.Lock()

@@ -183,8 +183,8 @@ func TestReportCostGrowsWithContent(t *testing.T) {
 }
 
 // TestCachedReportResolvedAndShareable pins the cache's publish rule: a
-// cached report's lazy stage-3 hashes are filled before any caller sees
-// it, so concurrent readers rendering the shared report only read it.
+// cached report carries its stage-3 hashes before any caller sees it, so
+// concurrent readers rendering the shared report only read it.
 func TestCachedReportResolvedAndShareable(t *testing.T) {
 	eng, rep := cachedApp(t, "rodinia_gaussian", 0.05)
 	transfers := 0
@@ -194,7 +194,7 @@ func TestCachedReportResolvedAndShareable(t *testing.T) {
 		}
 		transfers++
 		if !hashstore.ValidDigest(rec.Hash) {
-			t.Fatalf("record %d: hash %q not resolved at publish", rec.Seq, rec.Hash)
+			t.Fatalf("record %d: hash %q missing at publish", rec.Seq, rec.Hash)
 		}
 	}
 	if transfers == 0 {

@@ -124,7 +124,7 @@ func (e *Engine) Replay(run *trace.Run) (*ffm.Report, error) {
 	if !ok {
 		f = proc.DefaultFactory()
 	}
-	return ffm.Run(apps.NewReplayApp(run), e.config(f))
+	return ffm.Run(&apps.ReplayApp{Trace: run}, e.config(f))
 }
 
 // RunFamily runs the full FFM pipeline on one member of a generative

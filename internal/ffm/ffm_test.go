@@ -11,6 +11,8 @@ import (
 	"diogenes/internal/cuda"
 	"diogenes/internal/ffm/graph"
 	"diogenes/internal/gpu"
+	"diogenes/internal/hashstore"
+	"diogenes/internal/obs"
 	"diogenes/internal/proc"
 	"diogenes/internal/sched"
 	"diogenes/internal/simtime"
@@ -206,10 +208,6 @@ func TestMemoryTracingAnnotations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Content hashes are rendered lazily; materialize them as an exporter
-	// (trace.Run.WriteJSON) would.
-	run.ResolveHashes()
-
 	// The H2D payload repeats every iteration: iterations 2 and 3 are dups.
 	var h2dDups, h2dTotal int
 	for _, rec := range run.OfClass(trace.ClassTransfer) {
@@ -244,6 +242,55 @@ func TestMemoryTracingAnnotations(t *testing.T) {
 	}
 	if accessed == 0 || unaccessed == 0 {
 		t.Errorf("accessed=%d unaccessed=%d, want both nonzero", accessed, unaccessed)
+	}
+}
+
+// TestMemoryTracingHashesOnFirstSight pins stage 3's hashing contract on
+// every registry app: each transfer that carries a payload (the host<->
+// device copies) has its digest as soon as the stage returns, with no
+// render step, and the store computes exactly one sha256 per distinct
+// payload.
+func TestMemoryTracingHashesOnFirstSight(t *testing.T) {
+	for _, spec := range apps.Registry() {
+		t.Run(spec.Name, func(t *testing.T) {
+			factory := spec.Factory()
+			app := spec.Build(0.05, apps.Original, factory)
+			base, err := RunBaseline(app, factory, DefaultOverheads())
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := obs.NewRegistry()
+			run, err := runMemoryTracing(app, factory, base, DefaultOverheads(), reg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			distinct := map[string]bool{}
+			payloads := 0
+			for _, rec := range run.OfClass(trace.ClassTransfer) {
+				if rec.Dir != "HtoD" && rec.Dir != "DtoH" {
+					if rec.Hash != "" {
+						t.Fatalf("record %d (%s %s) carries no payload but has hash %q", rec.Seq, rec.Func, rec.Dir, rec.Hash)
+					}
+					continue
+				}
+				payloads++
+				if !hashstore.ValidDigest(rec.Hash) {
+					t.Fatalf("record %d (%s %s): hash %q is not a digest", rec.Seq, rec.Func, rec.Dir, rec.Hash)
+				}
+				distinct[rec.Hash] = true
+			}
+			if payloads == 0 {
+				t.Fatal("no payload-carrying transfers")
+			}
+			computed := reg.Counter("hashstore/sha256_computed").Value()
+			avoided := reg.Counter("hashstore/sha256_avoided").Value()
+			if computed != int64(len(distinct)) {
+				t.Errorf("sha256_computed = %d, want %d (one per distinct payload)", computed, len(distinct))
+			}
+			if computed+avoided != int64(payloads) {
+				t.Errorf("store saw %d inserts, want one per payload-carrying transfer (%d)", computed+avoided, payloads)
+			}
+		})
 	}
 }
 

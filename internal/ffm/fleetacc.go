@@ -79,10 +79,6 @@ func FoldRankOutcome(o RankOutcome) *FleetPartial {
 		o.Problems = len(rep.Analysis.Graph.ProblematicNodes())
 	}
 	if rep.Trace != nil {
-		// Hashes are filled lazily by stage 3's resolver; force them
-		// before reading. Idempotent, and a no-op on decoded runs whose
-		// hashes are already strings.
-		rep.Trace.ResolveHashes()
 		for r := range rep.Trace.Records {
 			rec := &rep.Trace.Records[r]
 			if rec.Class != trace.ClassTransfer || !hashstore.ValidDigest(rec.Hash) {

@@ -31,7 +31,6 @@ func encodeIndented(t testing.TB, v any) []byte {
 // reference path: the trace and the analysis each encoded indented, then
 // spliced as raw sections into the indented outer document.
 func legacyTraceJSON(t testing.TB, r *trace.Run) []byte {
-	r.ResolveHashes()
 	stamped := legacyRun(*r)
 	stamped.Format = trace.FormatVersion
 	return encodeIndented(t, &stamped)

@@ -196,11 +196,6 @@ func runMemoryTracing(app proc.App, factory proc.Factory, base *BaselineResult, 
 
 	store := hashstore.New()
 	store.SetMetrics(mets)
-	// hashRefs maps record sequence numbers to lazy content-hash handles;
-	// the run's hash resolver renders them only if the records are actually
-	// exported, so runs that are analyzed but never serialized skip the
-	// sha256 work entirely.
-	hashRefs := make(map[int64]hashstore.Ref)
 	var pendingSync *trace.Record
 	var tracker *interpose.RangeTracker
 	tracker = interpose.NewRangeTracker(p.Host, p.Clock, ov.AccessOverhead, func(fa interpose.FirstAccess) {
@@ -240,10 +235,7 @@ func runMemoryTracing(app proc.App, factory proc.Factory, base *BaselineResult, 
 					// only, never virtual time.
 					kb := (len(call.Payload) + 1023) / 1024
 					p.Ctx.ChargeOverhead(simtime.Duration(kb) * ov.HashPerKB)
-					dup, first, ref := store.Insert(call.Payload, rec.Seq)
-					rec.Duplicate = dup
-					rec.FirstSeq = first
-					hashRefs[rec.Seq] = ref
+					rec.Duplicate, rec.FirstSeq, rec.Hash = store.Insert(call.Payload, rec.Seq)
 				}
 				// Device-to-host destinations become GPU-writable ranges.
 				if call.Dir == cuda.DirD2H && call.HostSize > 0 {
@@ -263,7 +255,7 @@ func runMemoryTracing(app proc.App, factory proc.Factory, base *BaselineResult, 
 	if err := proc.SafeRun(app, p); err != nil {
 		return nil, fmt.Errorf("ffm stage 3: running %s: %w", app.Name(), err)
 	}
-	run := &trace.Run{
+	return &trace.Run{
 		App:         app.Name(),
 		Stage:       3,
 		ExecTime:    p.ExecTime() - p.Ctx.InstrumentationOverhead(),
@@ -271,20 +263,7 @@ func runMemoryTracing(app proc.App, factory proc.Factory, base *BaselineResult, 
 		TotalCalls:  p.Ctx.TotalCalls(),
 		SyncFuncs:   funcsToStrings(base.SyncFuncs),
 		Records:     tracer.Records(),
-	}
-	if len(hashRefs) > 0 {
-		run.SetHashResolver(func(r *trace.Run) {
-			for i := range r.Records {
-				rec := &r.Records[i]
-				if rec.Hash == "" {
-					if ref, ok := hashRefs[rec.Seq]; ok {
-						rec.Hash = ref.String()
-					}
-				}
-			}
-		})
-	}
-	return run, nil
+	}, nil
 }
 
 // RunSyncUse executes stage 4 (§3.4): for the synchronizations stage 3

@@ -7,14 +7,13 @@
 // stage 3) does not also become a real host-time cost per payload:
 //
 //  1. a fixed-seed 64-bit prefilter hash routes the payload to a bucket;
-//  2. first-seen payloads short-circuit — no sha256 is computed, a copy of
-//     the bytes is retained as the identity witness;
-//  3. duplicates are confirmed by byte comparison against the witness, which
-//     classifies exactly like comparing sha256 digests would;
-//  4. the sha256 digest itself is computed lazily, only when a record's Hash
-//     string is actually rendered (Ref.String/Ref.Key) or the digest is
-//     needed to compare against an already-promoted entry. The short hex
-//     form is interned per distinct payload, never per record.
+//  2. duplicates are confirmed by byte comparison against the first-seen
+//     payload's retained copy (its identity witness), which classifies
+//     exactly like comparing sha256 digests would, so a duplicate never
+//     pays for a sha256;
+//  3. each distinct payload is hashed with sha256 once, when the store
+//     first sees it. The witness is kept for the store's life, and the
+//     short hex form is interned per distinct payload, never per record.
 //
 // The store is safe for concurrent use, so stage 3 can hash under the
 // parallel engine's sched workers.
@@ -47,7 +46,7 @@ func (k Key) Hex() string { return hex.EncodeToString(k[:]) }
 // records render them: the abbreviated form (Key.String, 16 lowercase hex
 // characters) or the full form (Key.Hex, 64). Fleet aggregation keys
 // cross-rank duplicate findings on these strings and must skip records
-// whose digest was never resolved.
+// that carry no digest (no payload was captured) or a malformed one.
 func ValidDigest(s string) bool {
 	if len(s) != 16 && len(s) != 64 {
 		return false
@@ -68,57 +67,15 @@ type Entry struct {
 	Count    int   // total transfers with this content, including the first
 }
 
-// entry is the store's internal record of one distinct payload. Until
-// promoted it holds a retained copy of the bytes; promotion computes the
-// sha256 digest, interns the short hex form and releases the buffer.
+// entry is the store's internal record of one distinct payload: a retained
+// copy of its bytes, its sha256 digest and the interned short hex form.
 type entry struct {
 	next     *entry // bucket chain (prefilter collisions and distinct sizes)
 	firstSeq int64
-	bytes    int
 	count    int
-	payload  []byte // retained witness bytes; nil once promoted
-	sum      Key    // sha256 digest, valid once promoted
-	hex8     string // interned short hex, computed at most once
-	promoted bool
-}
-
-// Ref is a handle to a distinct payload in a Store. Rendering the hash
-// through a Ref is what triggers the lazy sha256 computation; records whose
-// hash is never rendered never pay for it. The zero Ref is invalid.
-type Ref struct {
-	e *entry
-	s *Store
-}
-
-// Valid reports whether the ref points at a store entry.
-func (r Ref) Valid() bool { return r.e != nil }
-
-// String returns the abbreviated hex form of the payload's sha256 digest,
-// identical to Key.String() of Hash(payload). The digest is computed on
-// first use and the string is interned: duplicate records of the same
-// content share one allocation.
-func (r Ref) String() string {
-	if r.e == nil {
-		return ""
-	}
-	r.s.mu.Lock()
-	defer r.s.mu.Unlock()
-	r.s.promote(r.e)
-	if r.e.hex8 == "" {
-		r.e.hex8 = hex.EncodeToString(r.e.sum[:8])
-	}
-	return r.e.hex8
-}
-
-// Key returns the payload's full sha256 digest, computing it on first use.
-func (r Ref) Key() Key {
-	if r.e == nil {
-		return Key{}
-	}
-	r.s.mu.Lock()
-	defer r.s.mu.Unlock()
-	r.s.promote(r.e)
-	return r.e.sum
+	payload  []byte // retained witness bytes
+	sum      Key    // sha256 digest
+	hex8     string // interned short hex of sum
 }
 
 // Store maps payload contents to their first transfer. The zero value is
@@ -131,7 +88,7 @@ type Store struct {
 	inserts    int64
 	duplicates int64
 	dupBytes   int64
-	retained   int64 // bytes currently held as identity witnesses
+	retained   int64 // bytes held as identity witnesses
 
 	// Instrument pointers resolved by SetMetrics (nil-safe no-ops until
 	// then).
@@ -145,11 +102,11 @@ type Store struct {
 func New() *Store { return &Store{buckets: make(map[uint64]*entry)} }
 
 // SetMetrics attaches self-measurement instruments: inserts whose prefilter
-// bucket already held a candidate (hashstore/prefilter_hits), inserts
-// classified without computing any sha256 (hashstore/sha256_avoided),
-// sha256 digests actually computed (hashstore/sha256_computed), and the
-// bytes currently retained as identity witnesses (hashstore/retained_bytes).
-// A nil registry detaches.
+// bucket already held a candidate (hashstore/prefilter_hits), duplicate
+// inserts classified without computing any sha256 (hashstore/sha256_avoided),
+// sha256 digests computed, one per distinct payload
+// (hashstore/sha256_computed), and the bytes retained as identity witnesses
+// (hashstore/retained_bytes). A nil registry detaches.
 func (s *Store) SetMetrics(m *obs.Registry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -161,93 +118,48 @@ func (s *Store) SetMetrics(m *obs.Registry) {
 
 // Insert records a transfer of payload p occurring at sequence seq. It
 // returns whether the content is a duplicate, the sequence of the first
-// transfer that carried it, and a Ref through which the content hash can be
-// rendered lazily. The duplicate classification is exactly the one plain
-// sha256 hashing would produce (FuzzHashTiers proves it): payloads compare
-// equal iff their digests would.
-func (s *Store) Insert(p []byte, seq int64) (dup bool, firstSeq int64, ref Ref) {
+// transfer that carried it, and the abbreviated hex form of its sha256
+// digest (Key.String of Hash(p)), one interned string per distinct
+// payload. The duplicate classification is exactly the one plain sha256
+// hashing would produce (FuzzHashTiers proves it): payloads compare equal
+// iff their digests would.
+func (s *Store) Insert(p []byte, seq int64) (dup bool, firstSeq int64, hash string) {
 	h := prefilter64(p)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.inserts++
-	var sum Key
-	haveSum := false
 	if s.buckets[h] != nil {
 		s.mPrefilterHits.Inc()
 	}
 	for e := s.buckets[h]; e != nil; e = e.next {
-		if e.bytes != len(p) {
-			continue
-		}
-		var match bool
-		if !e.promoted {
-			match = bytes.Equal(e.payload, p)
-		} else {
-			// The witness bytes are gone; fall back to digest equality.
-			if !haveSum {
-				sum = sha256.Sum256(p)
-				haveSum = true
-				s.mSha256.Inc()
-			}
-			match = sum == e.sum
-		}
-		if match {
+		if bytes.Equal(e.payload, p) {
 			e.count++
 			s.duplicates++
 			s.dupBytes += int64(len(p))
-			if !haveSum {
-				s.mSha256Avoided.Inc()
-			}
-			return true, e.firstSeq, Ref{e: e, s: s}
+			s.mSha256Avoided.Inc()
+			return true, e.firstSeq, e.hex8
 		}
 	}
-	e := &entry{firstSeq: seq, bytes: len(p), count: 1, payload: s.retain(p)}
-	e.next = s.buckets[h]
+	e := &entry{next: s.buckets[h], firstSeq: seq, count: 1, payload: bytes.Clone(p), sum: sha256.Sum256(p)}
+	e.hex8 = e.sum.String()
 	s.buckets[h] = e
 	s.distinct++
-	if !haveSum {
-		s.mSha256Avoided.Inc()
-	}
-	return false, seq, Ref{e: e, s: s}
-}
-
-// retain copies p and accounts for it. Callers hold mu.
-func (s *Store) retain(p []byte) []byte {
-	if len(p) == 0 {
-		return []byte{}
-	}
-	buf := make([]byte, len(p))
-	copy(buf, p)
 	s.retained += int64(len(p))
-	s.mRetained.Set(float64(s.retained))
-	return buf
-}
-
-// promote computes the entry's sha256 digest from its witness bytes and
-// drops the buffer. Callers hold mu. Idempotent.
-func (s *Store) promote(e *entry) {
-	if e.promoted {
-		return
-	}
-	e.sum = sha256.Sum256(e.payload)
-	e.promoted = true
 	s.mSha256.Inc()
-	s.retained -= int64(len(e.payload))
 	s.mRetained.Set(float64(s.retained))
-	e.payload = nil
+	return false, seq, e.hex8
 }
 
-// Lookup returns the entry for a content key, if any. It forces promotion
-// of every stored payload (each needs its digest to compare), so it is
-// intended for tests and post-run inspection, not the hot path.
+// Lookup returns the entry for a content key, if any. It scans every
+// entry, so it is intended for tests and post-run inspection, not the hot
+// path.
 func (s *Store) Lookup(k Key) (Entry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, chain := range s.buckets {
 		for e := chain; e != nil; e = e.next {
-			s.promote(e)
 			if e.sum == k {
-				return Entry{FirstSeq: e.firstSeq, Bytes: e.bytes, Count: e.count}, true
+				return Entry{FirstSeq: e.firstSeq, Bytes: len(e.payload), Count: e.count}, true
 			}
 		}
 	}
@@ -282,8 +194,8 @@ func (s *Store) DuplicateBytes() int64 {
 	return s.dupBytes
 }
 
-// RetainedBytes returns the bytes currently held as identity witnesses
-// (first-seen payloads whose digest has not been needed yet).
+// RetainedBytes returns the bytes held as identity witnesses: one copy of
+// every distinct payload.
 func (s *Store) RetainedBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -28,14 +28,14 @@ func TestFirstInsertNotDuplicate(t *testing.T) {
 func TestDuplicateDetection(t *testing.T) {
 	s := New()
 	s.Insert([]byte("same bytes"), 1)
-	dup, first, ref := s.Insert([]byte("same bytes"), 5)
+	dup, first, _ := s.Insert([]byte("same bytes"), 5)
 	if !dup {
 		t.Fatal("identical payload not flagged")
 	}
 	if first != 1 {
 		t.Fatalf("firstSeq = %d, want 1", first)
 	}
-	e, ok := s.Lookup(ref.Key())
+	e, ok := s.Lookup(Hash([]byte("same bytes")))
 	if !ok || e.Count != 2 || e.FirstSeq != 1 || e.Bytes != len("same bytes") {
 		t.Fatalf("entry = %+v ok=%v", e, ok)
 	}
@@ -46,12 +46,12 @@ func TestDuplicateDetection(t *testing.T) {
 
 func TestDistinctPayloadsDistinctKeys(t *testing.T) {
 	s := New()
-	_, _, r1 := s.Insert([]byte("aaaa"), 1)
-	dup, _, r2 := s.Insert([]byte("aaab"), 2)
+	_, _, h1 := s.Insert([]byte("aaaa"), 1)
+	dup, _, h2 := s.Insert([]byte("aaab"), 2)
 	if dup {
 		t.Fatal("different payload flagged duplicate")
 	}
-	if r1.Key() == r2.Key() {
+	if h1 == h2 {
 		t.Fatal("hash collision on trivially different inputs")
 	}
 	if s.Len() != 2 {
@@ -79,14 +79,14 @@ func TestKeyStrings(t *testing.T) {
 func TestEmptyPayload(t *testing.T) {
 	s := New()
 	dup1, _, _ := s.Insert(nil, 1)
-	dup2, first, ref := s.Insert([]byte{}, 2)
+	dup2, first, hash := s.Insert([]byte{}, 2)
 	if dup1 {
 		t.Fatal("first empty payload flagged duplicate")
 	}
 	if !dup2 || first != 1 {
 		t.Fatal("empty payloads should hash identically")
 	}
-	if ref.Key() != sha256.Sum256(nil) {
+	if hash != Key(sha256.Sum256(nil)).String() {
 		t.Fatal("empty payload digest differs from sha256.Sum256(nil)")
 	}
 }
@@ -95,73 +95,27 @@ func TestRefMatchesEagerHash(t *testing.T) {
 	payloads := [][]byte{nil, []byte("a"), []byte("hello world"), make([]byte, 4096)}
 	s := New()
 	for i, p := range payloads {
-		_, _, ref := s.Insert(p, int64(i))
-		want := Hash(p)
-		if ref.Key() != want {
-			t.Fatalf("payload %d: lazy digest differs from sha256.Sum256", i)
+		_, _, hash := s.Insert(p, int64(i))
+		if want := Hash(p).String(); hash != want {
+			t.Fatalf("payload %d: short hex %q != %q", i, hash, want)
 		}
-		if ref.String() != want.String() {
-			t.Fatalf("payload %d: short hex %q != %q", i, ref.String(), want.String())
+		if _, ok := s.Lookup(Hash(p)); !ok {
+			t.Fatalf("payload %d: Lookup by its sha256 digest failed", i)
 		}
 	}
 }
 
 func TestRefStringInterned(t *testing.T) {
 	s := New()
-	_, _, r1 := s.Insert([]byte("interned"), 1)
-	_, _, r2 := s.Insert([]byte("interned"), 2)
-	a, b := r1.String(), r2.String()
+	_, _, a := s.Insert([]byte("interned"), 1)
+	_, _, b := s.Insert([]byte("interned"), 2)
 	if a != b {
-		t.Fatalf("duplicate refs render different hashes: %q vs %q", a, b)
+		t.Fatalf("duplicate inserts return different hashes: %q vs %q", a, b)
 	}
 	// Same backing allocation: interning means duplicate records share one
 	// string, not just equal ones.
 	if unsafe.StringData(a) != unsafe.StringData(b) {
-		t.Fatal("duplicate refs did not intern the hex string")
-	}
-}
-
-func TestLazyPromotionReleasesWitness(t *testing.T) {
-	s := New()
-	_, _, ref := s.Insert(make([]byte, 1024), 1)
-	if got := s.RetainedBytes(); got != 1024 {
-		t.Fatalf("retained = %d, want 1024 before promotion", got)
-	}
-	_ = ref.String()
-	if got := s.RetainedBytes(); got != 0 {
-		t.Fatalf("retained = %d, want 0 after promotion", got)
-	}
-	// Rendering again must not recompute or re-release.
-	_ = ref.String()
-	if got := s.RetainedBytes(); got != 0 {
-		t.Fatalf("retained = %d after second render", got)
-	}
-}
-
-func TestInsertAfterPromotionStillClassifies(t *testing.T) {
-	s := New()
-	_, _, ref := s.Insert([]byte("promote me"), 1)
-	_ = ref.Key() // promotion drops the witness bytes
-	dup, first, _ := s.Insert([]byte("promote me"), 2)
-	if !dup || first != 1 {
-		t.Fatalf("dup=%v first=%d after promotion, want true/1", dup, first)
-	}
-	dup, _, _ = s.Insert([]byte("promote m3"), 3)
-	if dup {
-		t.Fatal("distinct payload flagged duplicate after promotion")
-	}
-}
-
-func TestZeroRef(t *testing.T) {
-	var r Ref
-	if r.Valid() {
-		t.Fatal("zero Ref claims valid")
-	}
-	if r.String() != "" {
-		t.Fatalf("zero Ref renders %q", r.String())
-	}
-	if r.Key() != (Key{}) {
-		t.Fatal("zero Ref has non-zero key")
+		t.Fatal("duplicate inserts did not intern the hex string")
 	}
 }
 
@@ -172,16 +126,19 @@ func TestMetricsCounters(t *testing.T) {
 	s.Insert([]byte("one"), 1)
 	s.Insert([]byte("one"), 2)
 	s.Insert([]byte("two"), 3)
-	if got := reg.Counter("hashstore/sha256_avoided").Value(); got != 3 {
-		t.Fatalf("sha256_avoided = %d, want 3 (no digest needed yet)", got)
+	s.Insert([]byte("one"), 4)
+	if got := reg.Counter("hashstore/sha256_computed").Value(); got != 2 {
+		t.Fatalf("sha256_computed = %d, want 2 (one per distinct payload)", got)
 	}
-	if got := reg.Counter("hashstore/prefilter_hits").Value(); got != 1 {
-		t.Fatalf("prefilter_hits = %d, want 1 (the duplicate insert)", got)
+	if got := reg.Counter("hashstore/sha256_avoided").Value(); got != 2 {
+		t.Fatalf("sha256_avoided = %d, want 2 (the duplicate inserts)", got)
 	}
-	_, _, ref := s.Insert([]byte("one"), 4)
-	_ = ref.String()
-	if got := reg.Counter("hashstore/sha256_computed").Value(); got != 1 {
-		t.Fatalf("sha256_computed = %d, want exactly 1 after one render", got)
+	if got := reg.Counter("hashstore/prefilter_hits").Value(); got != 2 {
+		t.Fatalf("prefilter_hits = %d, want 2 (the duplicate inserts)", got)
+	}
+	// One witness per distinct payload, kept for the store's life.
+	if got := s.RetainedBytes(); got != int64(len("one")+len("two")) {
+		t.Fatalf("retained = %d, want %d", got, len("one")+len("two"))
 	}
 }
 
@@ -194,9 +151,8 @@ func TestConcurrentInsert(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				payload := []byte(fmt.Sprintf("payload-%d", i%17))
-				_, _, ref := s.Insert(payload, int64(g*1000+i))
-				if i%50 == 0 {
-					_ = ref.String()
+				if _, _, hash := s.Insert(payload, int64(g*1000+i)); hash != Hash(payload).String() {
+					t.Errorf("payload %q: hash %q", payload, hash)
 				}
 			}
 		}(g)

@@ -104,30 +104,3 @@ func TestArenaConcurrentRunsShareNothing(t *testing.T) {
 		}
 	}
 }
-
-func TestRunResolveHashesIdempotent(t *testing.T) {
-	calls := 0
-	r := &Run{Records: []Record{{Seq: 1}}}
-	r.SetHashResolver(func(run *Run) {
-		calls++
-		for i := range run.Records {
-			if run.Records[i].Hash == "" {
-				run.Records[i].Hash = "abcd"
-			}
-		}
-	})
-	r.ResolveHashes()
-	r.ResolveHashes()
-	if r.Records[0].Hash != "abcd" {
-		t.Fatalf("hash not resolved: %+v", r.Records[0])
-	}
-	if calls != 2 {
-		t.Fatalf("resolver calls = %d", calls)
-	}
-	// A struct copy (stage 4 copies stage 3's run) carries the resolver.
-	cp := *r
-	cp.ResolveHashes()
-	if calls != 3 {
-		t.Fatal("copied run lost the resolver")
-	}
-}

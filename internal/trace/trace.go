@@ -102,40 +102,16 @@ type Run struct {
 	// synchronize, in first-seen order.
 	SyncFuncs []string `json:"syncFuncs,omitempty"`
 	Records   []Record `json:"records,omitempty"`
-
-	// hashResolve, when set, lazily fills the Records' Hash fields the
-	// first time they are rendered (MarshalJSON, WriteJSON or
-	// ResolveHashes). Stage 3 installs it so content hashes are computed
-	// only for runs whose records are actually exported; it must be
-	// idempotent. It writes the records, so it is not safe for concurrent
-	// use: a run shared between goroutines must be resolved before it is
-	// shared (the experiments report cache resolves every report before
-	// publishing it). Unexported, so it survives struct copies but never
-	// serializes.
-	hashResolve func(*Run)
-}
-
-// SetHashResolver installs fn as the run's lazy hash resolver.
-func (r *Run) SetHashResolver(fn func(*Run)) { r.hashResolve = fn }
-
-// ResolveHashes materializes any lazily computed record fields (today the
-// stage-3 content hashes). Safe to call repeatedly; a run without a
-// resolver is returned untouched.
-func (r *Run) ResolveHashes() {
-	if r.hashResolve != nil {
-		r.hashResolve(r)
-	}
 }
 
 // runDoc is Run without its methods, so MarshalJSON can encode the fields
 // without recursing into itself.
 type runDoc Run
 
-// MarshalJSON is the run's one encoding: compact, stamped with
-// FormatVersion, lazy hashes resolved. WriteJSON indents it; documents
-// that embed the run (the ffm report) splice it in compact.
+// MarshalJSON is the run's one encoding: compact and stamped with
+// FormatVersion. WriteJSON indents it; documents that embed the run (the
+// ffm report) splice it in compact.
 func (r *Run) MarshalJSON() ([]byte, error) {
-	r.ResolveHashes()
 	stamped := runDoc(*r)
 	stamped.Format = FormatVersion
 	return json.Marshal(&stamped)
