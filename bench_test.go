@@ -687,6 +687,36 @@ func BenchmarkFleetAMG4(b *testing.B) {
 	b.ReportMetric(float64(fr.Analyzed), "ranks-analyzed")
 }
 
+// BenchmarkFleetAMGHit measures a warm fleet launch: AMG's 8-rank world at
+// scale 0.25 on a width-2 engine whose cache already holds every rank
+// report and the skew attribution, rendered to JSON per iteration. No
+// simulation runs; what is left is the fleet reduction and the rendering.
+// The CI gate holds its allocs/op. The warm-up renders too, so one-time
+// encoder setup stays out of a single measured iteration.
+func BenchmarkFleetAMGHit(b *testing.B) {
+	eng := experiments.NewEngine(2)
+	warm, err := eng.Fleet("amg", 0.25, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := warm.WriteJSON(io.Discard); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fr, err := eng.Fleet("amg", 0.25, 8)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if fr.Partial || fr.Skew == nil {
+			b.Fatal("warm fleet launch degraded")
+		}
+		if err := fr.WriteJSON(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // --- Fleet at scale: the streaming reduction's memory profile -----------------
 
 // fleetBenchOutcome fabricates one rank's pipeline outcome directly, so the

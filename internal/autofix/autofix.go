@@ -189,22 +189,24 @@ type Validation struct {
 // multi-run collection depends on). For multi-process applications use
 // ApplyWith so every process of the launch is patched.
 func Apply(app proc.App, factory proc.Factory, plan *Plan, opts Options) (*Validation, error) {
-	return ApplyWith(func(proc.Factory) proc.App { return app }, factory, plan, opts)
-}
-
-// ApplyWith is Apply for applications that spawn further processes from a
-// factory (the MPI launches): build receives the factory the application
-// must use, and the patched run's factory carries a Prepare hook installing
-// the plan into *every* process it creates — one rank left unpatched would
-// drag the collective and erase the benefit.
-func ApplyWith(build func(proc.Factory) proc.App, factory proc.Factory, plan *Plan, opts Options) (*Validation, error) {
-	v := &Validation{Plan: plan}
-
 	p0 := factory.New()
-	if err := proc.SafeRun(build(factory), p0); err != nil {
+	if err := proc.SafeRun(app, p0); err != nil {
 		return nil, fmt.Errorf("autofix: unpatched run: %w", err)
 	}
-	v.OriginalTime = p0.ExecTime()
+	return ApplyWith(func(proc.Factory) proc.App { return app }, factory, p0.ExecTime(), plan, opts)
+}
+
+// ApplyWith runs the application with the plan installed and reports the
+// realized benefit against original, the unpatched build's uninstrumented
+// runtime. A caller holding the application's pipeline report passes its
+// UninstrumentedTime: the reference run is that same simulation, so it
+// need not run again. build receives the factory the application must use
+// (the MPI launches spawn further processes from it), and the patched
+// run's factory carries a Prepare hook installing the plan into *every*
+// process it creates — one rank left unpatched would drag the collective
+// and erase the benefit.
+func ApplyWith(build func(proc.Factory) proc.App, factory proc.Factory, original simtime.Duration, plan *Plan, opts Options) (*Validation, error) {
+	v := &Validation{Plan: plan, OriginalTime: original}
 
 	var patchers []*patcher
 	patchedFactory := factory

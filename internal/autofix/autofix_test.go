@@ -312,3 +312,32 @@ func TestAutofixVersusManualFix(t *testing.T) {
 		}
 	}
 }
+
+// TestOriginalTimeIsReferenceRun pins the equality EvaluateAppWith relies
+// on: the unpatched build's uninstrumented runtime, whether measured the
+// way Apply measures it or on the build ApplyWith patches, is the
+// pipeline's reference run, rep.UninstrumentedTime.
+func TestOriginalTimeIsReferenceRun(t *testing.T) {
+	const scale = 0.05
+	eng := experiments.NewEngine(2)
+	for _, spec := range apps.Registry() {
+		rep, err := eng.RunApp(spec.Name, scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p0 := spec.Factory().New()
+		if err := proc.SafeRun(spec.Build(scale, apps.Original, spec.Factory()), p0); err != nil {
+			t.Fatal(err)
+		}
+		if got := p0.ExecTime(); got != rep.UninstrumentedTime {
+			t.Errorf("%s: unpatched build ran %v, reference run %v", spec.Name, got, rep.UninstrumentedTime)
+		}
+		v, err := Apply(spec.New(scale, apps.Original), spec.Factory(), BuildPlan(rep.Analysis, DefaultOptions()), DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.OriginalTime != rep.UninstrumentedTime {
+			t.Errorf("%s: Apply measured the original at %v, reference run %v", spec.Name, v.OriginalTime, rep.UninstrumentedTime)
+		}
+	}
+}

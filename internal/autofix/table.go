@@ -9,7 +9,8 @@ import (
 // EvaluateAppWith plans and applies the automatic correction for one
 // modelled application, producing the comparison row the engine's
 // AutofixTable consumes. The pipeline report comes from the engine (cached
-// and stage-parallel when the engine is).
+// and stage-parallel when the engine is), and its reference run supplies
+// the unpatched runtime.
 func EvaluateAppWith(e *experiments.Engine, name string, scale float64) (*experiments.AutofixRow, error) {
 	spec, err := apps.ByName(name)
 	if err != nil {
@@ -22,7 +23,7 @@ func EvaluateAppWith(e *experiments.Engine, name string, scale float64) (*experi
 	plan := BuildPlan(rep.Analysis, DefaultOptions())
 	v, err := ApplyWith(func(f proc.Factory) proc.App {
 		return spec.Build(scale, apps.Original, f)
-	}, spec.Factory(), plan, DefaultOptions())
+	}, spec.Factory(), rep.UninstrumentedTime, plan, DefaultOptions())
 	if err != nil {
 		return nil, err
 	}

@@ -45,8 +45,23 @@ type cacheableConfig struct {
 // fingerprinted (a Factory with a Prepare hook); such runs must not be
 // cached.
 func CacheKey(app string, scale float64, variant apps.Variant, cfg ffm.Config) (string, bool) {
-	if cfg.Factory.Prepare != nil {
+	fp, ok := fingerprint(cfg)
+	if !ok {
 		return "", false
+	}
+	return fp.key(app, scale, variant), true
+}
+
+// configPrint is the canonical encoding of one run configuration. A
+// caller keying many runs of one configuration (the ranks of a fleet)
+// encodes it once and derives every key from it.
+type configPrint []byte
+
+// fingerprint encodes cfg's cacheable part; ok is false when cfg cannot
+// be fingerprinted (see CacheKey).
+func fingerprint(cfg ffm.Config) (configPrint, bool) {
+	if cfg.Factory.Prepare != nil {
+		return nil, false
 	}
 	cc, err := json.Marshal(cacheableConfig{
 		GPU:       cfg.Factory.GPU,
@@ -56,8 +71,13 @@ func CacheKey(app string, scale float64, variant apps.Variant, cfg ffm.Config) (
 		Analysis:  cfg.Analysis,
 	})
 	if err != nil {
-		return "", false
+		return nil, false
 	}
+	return cc, true
+}
+
+// key is CacheKey under this configuration.
+func (cc configPrint) key(app string, scale float64, variant apps.Variant) string {
 	// Length-prefix every variable-width field so no two distinct
 	// (app, scale, variant, config) tuples share an encoding.
 	h := sha256.New()
@@ -72,13 +92,16 @@ func CacheKey(app string, scale float64, variant apps.Variant, cfg ffm.Config) (
 	binary.BigEndian.PutUint64(lenBuf[:], uint64(len(cc)))
 	h.Write(lenBuf[:])
 	h.Write(cc)
-	return hex.EncodeToString(h.Sum(nil)), true
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // ReportCache memoizes pipeline outputs by content-addressed key so the
 // evaluation suites (table1, table2, autofix verify) stop re-running
 // identical pipelines: all three need the same per-app FFM report, and the
 // benefit tables additionally re-measure the same uninstrumented runtimes.
+// A fleet launch memoizes its rank reports and its collective-skew
+// attribution, so a repeated launch runs neither a pipeline nor the
+// whole-world skew reference run.
 // The cache is safe for concurrent use and deduplicates in-flight work —
 // two workers asking for the same key run the pipeline once.
 //
@@ -91,9 +114,9 @@ func CacheKey(app string, scale float64, variant apps.Variant, cfg ffm.Config) (
 // returned and retained rather than thrashed. The default budget of zero keeps the historical unbounded
 // behaviour.
 //
-// Cached values are shared: callers must treat a returned *ffm.Report as
-// immutable. Rendering a report only reads it, so concurrent readers need
-// no further coordination.
+// Cached values are shared: callers must treat a returned *ffm.Report or
+// *ffm.FleetSkew as immutable. Rendering either only reads it, so
+// concurrent readers need no further coordination.
 type ReportCache struct {
 	mu      sync.Mutex
 	entries map[string]*cacheEntry
@@ -131,7 +154,8 @@ func NewReportCache() *ReportCache {
 }
 
 // SetByteBudget caps the cache's resident cost at n bytes (estimated
-// resident size for reports, a small nominal cost for runtimes), evicting
+// resident size for reports and skew attributions, a small nominal cost
+// for runtimes), evicting
 // LRU entries immediately if the cache is already over. n <= 0 removes the
 // bound.
 func (c *ReportCache) SetByteBudget(n int64) {
@@ -299,7 +323,37 @@ func (c *ReportCache) Runtime(key string, compute func() (simtime.Duration, erro
 	return d, nil
 }
 
-// Resident sizes of the report's building blocks, for reportCost.
+// Skew memoizes a fleet's collective-skew attribution, the product of one
+// uninstrumented whole-world run. A nil attribution (the world failed) is
+// memoized like a failed report: the world is deterministic, so it would
+// fail the same way again. The retention cost is the attribution's
+// resident size.
+func (c *ReportCache) Skew(key string, compute func() *ffm.FleetSkew) *ffm.FleetSkew {
+	v, _, _ := c.do("skew/"+key, func() (any, int64, error) {
+		sk := compute()
+		return sk, skewCost(sk), nil
+	})
+	sk, _ := v.(*ffm.FleetSkew)
+	return sk
+}
+
+// skewCost is a skew attribution's resident bytes plus the entry's
+// nominal bookkeeping: one record per rank and per skewed barrier, and
+// each barrier's per-rank waits.
+func skewCost(sk *ffm.FleetSkew) int64 {
+	n := int64(runtimeEntryCost)
+	if sk == nil {
+		return n
+	}
+	n += sizeSkew + int64(len(sk.PerRank))*sizeSkewRank + int64(len(sk.Barriers))*sizeBarrier
+	for i := range sk.Barriers {
+		n += int64(len(sk.Barriers[i].RankWaits)) * sizeDuration
+	}
+	return n
+}
+
+// Resident sizes of the report's and the skew attribution's building
+// blocks, for reportCost and skewCost.
 const (
 	sizeReport   = int64(unsafe.Sizeof(ffm.Report{}))
 	sizeBaseline = int64(unsafe.Sizeof(ffm.BaselineResult{}))
@@ -313,6 +367,10 @@ const (
 	sizeGroup    = int64(unsafe.Sizeof(graph.Group{}))
 	sizeString   = int64(unsafe.Sizeof(""))
 	sizePointer  = int64(unsafe.Sizeof(uintptr(0)))
+	sizeSkew     = int64(unsafe.Sizeof(ffm.FleetSkew{}))
+	sizeSkewRank = int64(unsafe.Sizeof(ffm.FleetSkewRank{}))
+	sizeBarrier  = int64(unsafe.Sizeof(ffm.FleetBarrier{}))
+	sizeDuration = int64(unsafe.Sizeof(simtime.Duration(0)))
 )
 
 // reportCost estimates a report's resident bytes in one pass over its

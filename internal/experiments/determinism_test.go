@@ -10,6 +10,7 @@ import (
 
 	"diogenes/internal/apps"
 	"diogenes/internal/ffm"
+	"diogenes/internal/mpi"
 	"diogenes/internal/proc"
 	"diogenes/internal/trace"
 )
@@ -278,5 +279,51 @@ func TestCacheKeyProperties(t *testing.T) {
 	prepared.Factory.Prepare = func(*proc.Process) {}
 	if _, ok := CacheKey("cumf_als", 0.1, apps.Original, prepared); ok {
 		t.Fatal("a config with a Prepare hook must be uncachable")
+	}
+}
+
+// TestCacheKeyBytesPinned pins key bytes for the registry apps, a fleet
+// rank, the skew world and a fleet suite: persisted store entries and the
+// ledger name reports by these keys, so no change to how keys are built
+// may move one.
+func TestCacheKeyBytesPinned(t *testing.T) {
+	keys := []struct {
+		app     string
+		scale   float64
+		variant apps.Variant
+		want    string
+	}{
+		{"cumf_als", 0.05, apps.Original, "4cd57e8bb17fb9403d6bdd7ece8c892d81155e0f84bbf5606c94de62d73035e0"},
+		{"cumf_als", 0.05, apps.Fixed, "4c117456d58405ff2f9d40d0dcb96889627ca80ab07c0c82e88c7b5e0d25d7b8"},
+		{"cumf_als", 0.25, apps.Original, "92f1c9d0f0d933e4c0d913d11372486497cb205c05538a674a4fff6bab065b77"},
+		{"cumf_als", 0.25, apps.Fixed, "a0b27242880a13340934e15841122055b29c96d542a6f33c29f0f3aeb1869f4a"},
+		{"cuibm", 0.05, apps.Original, "17fc046e8508653a4b98bb6cf30b0ffcd11716443dbed9abf4ae69db94b8c3b4"},
+		{"cuibm", 0.05, apps.Fixed, "7b81aa83f15557c9bae7f0b02b23944484c89cf08bc3db219fc4a853d29ff771"},
+		{"cuibm", 0.25, apps.Original, "cefa89cdb54e461b98ce929cf67acc2af5e15893be14c7b3130e65cf91f2cb81"},
+		{"cuibm", 0.25, apps.Fixed, "424e6ec7b60bc02e785923f71edd18abe62ff3e9664abae722fd2c6c65dad253"},
+		{"amg", 0.05, apps.Original, "7506dd79ecab9cd0c1ca6cb2c36ff732e06c3ea9f187241b0da2caec4f1693c2"},
+		{"amg", 0.05, apps.Fixed, "4caf82b2b992426f49c444fc83408f2fa4b416625740bb4d0a829d8740043835"},
+		{"amg", 0.25, apps.Original, "46e6911a3dcca0430b39aa352cfad32b12a302e6b863a797860e4e4555058fbe"},
+		{"amg", 0.25, apps.Fixed, "9fa3a1c783603c1a1bd6348b0d856a0033824e5ba83c1d0dad1312ca432c9888"},
+		{"rodinia_gaussian", 0.05, apps.Original, "d22859b1060bec150e984ce57baf712862b5704369671b851665f2a2bb62422c"},
+		{"rodinia_gaussian", 0.05, apps.Fixed, "a2889923a69269c177675e8b85336e355aa779f43ad9c024e7d83a86ca3d86be"},
+		{"rodinia_gaussian", 0.25, apps.Original, "2e2a56f3b1475a622875c2ac021b16fbec7f95324473d6683b24c850abccd6de"},
+		{"rodinia_gaussian", 0.25, apps.Fixed, "fcdd098014f85b4fba99767f913b185ff48aac4530c500befc2d504eeea46ece"},
+		{FleetRankID("amg", 3, 8), 0.25, apps.Original, "89efeb6e9cd9a26ac5e0dd3bb7edc1f379a7dae613304aa2e51024382777aa03"},
+		{FleetRankID("amg", mpi.NoObserved, 8), 0.25, apps.Original, "edba4aed08dc0ae91bc0566553ab1eb51e9db2ba1160d6628279651ac3826c85"},
+	}
+	for _, k := range keys {
+		f, ok := apps.FactoryFor(k.app)
+		if !ok {
+			t.Fatalf("no factory for %s", k.app)
+		}
+		cfg := NewEngine(1).config(f)
+		if got, ok := CacheKey(k.app, k.scale, k.variant, cfg); !ok || got != k.want {
+			t.Errorf("CacheKey(%s, %v, %v) = %s, want %s", k.app, k.scale, k.variant, got, k.want)
+		}
+	}
+	const suite = "a51579c2528a85f94729e503eeea7f124493686237580b743d61c88846636c1d"
+	if got, ok := NewEngine(1).FleetSuiteKey("amg", 0.25, 8); !ok || got != suite {
+		t.Errorf("FleetSuiteKey(amg, 0.25, 8) = %s, want %s", got, suite)
 	}
 }

@@ -46,7 +46,11 @@ func FleetRankID(app string, rank, ranks int) string {
 // invalid (unknown or single-process application, bad rank count).
 //
 // ranks 0 selects the application's default world size. Per-rank pipelines
-// are memoized through the engine's cache like every other engine run.
+// are memoized through the engine's cache like every other engine run, and
+// so is the skew reference run, keyed as the world with no observed rank
+// (FleetRankID(name, mpi.NoObserved, ranks)): a repeated launch on one
+// engine simulates nothing. A cached launch records no skew-reference
+// span.
 func (e *Engine) Fleet(name string, scale float64, ranks int) (*ffm.FleetReport, error) {
 	return e.FleetCtx(context.Background(), name, scale, ranks)
 }
@@ -71,9 +75,10 @@ func (e *Engine) FleetCtx(ctx context.Context, name string, scale float64, ranks
 		BarrierLatency: spec.MPI.BarrierLatency,
 		Factory:        spec.Factory(),
 	}
-	cfg := e.config(mcfg.Factory)
-	keyFor := func(r int) (string, bool) {
-		return CacheKey(FleetRankID(name, r, ranks), scale, apps.Original, cfg)
+	// One configuration encoding keys every rank of the launch.
+	var keyFor func(int) string
+	if fp, ok := fingerprint(e.config(mcfg.Factory)); ok {
+		keyFor = func(r int) string { return fp.key(FleetRankID(name, r, ranks), scale, apps.Original) }
 	}
 	newProg := func(int) mpi.RankProgram { return spec.MPI.Program(scale, apps.Original) }
 	return e.fleet(ctx, name, newProg, mcfg, keyFor)
@@ -105,19 +110,26 @@ func (e *Engine) FleetReduce(app string, ranks int, outcome func(rank int) ffm.R
 		func(_ context.Context, r int) ffm.RankOutcome { return outcome(r) }, nil)
 }
 
-func (e *Engine) fleet(ctx context.Context, app string, newProg func(int) mpi.RankProgram, mcfg mpi.Config, keyFor func(int) (string, bool)) (*ffm.FleetReport, error) {
+// fleet runs a live launch. keyFor, nil for an uncachable launch, keys
+// each rank's report in the engine's cache, and keyFor(mpi.NoObserved) —
+// the whole world with no observed rank — keys the skew attribution.
+func (e *Engine) fleet(ctx context.Context, app string, newProg func(int) mpi.RankProgram, mcfg mpi.Config, keyFor func(int) string) (*ffm.FleetReport, error) {
 	if mcfg.Ranks < 1 {
 		return nil, fmt.Errorf("experiments: fleet over %d ranks, need at least 1", mcfg.Ranks)
+	}
+	// Whole-world reference run for the skew attribution, after every rank
+	// has folded. Its failure (the same fault the per-rank pipelines
+	// contained) degrades the report to skew-less rather than failing the
+	// launch.
+	skew := func() *ffm.FleetSkew { return e.fleetSkew(newProg(mpi.NoObserved), mcfg) }
+	if e.Cache != nil && keyFor != nil {
+		key, world := keyFor(mpi.NoObserved), skew
+		skew = func() *ffm.FleetSkew { return e.Cache.Skew(key, world) }
 	}
 	return e.fleetReduce(ctx, app, mcfg.Ranks,
 		func(ctx context.Context, r int) ffm.RankOutcome {
 			return e.fleetRank(ctx, app, r, newProg, mcfg, keyFor)
-		},
-		// Whole-world reference run for the skew attribution, after every
-		// rank has folded. Its failure (the same fault the per-rank
-		// pipelines contained) degrades the report to skew-less rather
-		// than failing the launch.
-		func() *ffm.FleetSkew { return e.fleetSkew(newProg(mpi.NoObserved), mcfg) })
+		}, skew)
 }
 
 // fleetReduce is the shared streaming reduction: contiguous rank batches
@@ -211,7 +223,7 @@ func (e *Engine) FleetProgress() (ffm.FleetProgress, bool) {
 // context-aware: a canceled fleet skips the retry instead of holding a
 // pool worker through the pause, and the outcome keeps the first
 // attempt's error.
-func (e *Engine) fleetRank(ctx context.Context, app string, rank int, newProg func(int) mpi.RankProgram, mcfg mpi.Config, keyFor func(int) (string, bool)) ffm.RankOutcome {
+func (e *Engine) fleetRank(ctx context.Context, app string, rank int, newProg func(int) mpi.RankProgram, mcfg mpi.Config, keyFor func(int) string) ffm.RankOutcome {
 	out := ffm.RankOutcome{Rank: rank}
 	span := e.Obs.Root().Child(rank, "rank", FleetRankID(app, rank, mcfg.Ranks))
 	defer span.End()
@@ -222,15 +234,14 @@ func (e *Engine) fleetRank(ctx context.Context, app string, rank int, newProg fu
 	}
 	attempt := run
 	if e.Cache != nil && keyFor != nil {
-		if key, ok := keyFor(rank); ok {
-			attempt = func() (*ffm.Report, error) {
-				// The cache reports the hit per call — concurrent ranks
-				// cannot misattribute each other's hits the way a global
-				// Stats() delta could.
-				rep, hit, err := e.Cache.ReportHit(key, run)
-				out.FromCache = err == nil && hit
-				return rep, err
-			}
+		key := keyFor(rank)
+		attempt = func() (*ffm.Report, error) {
+			// The cache reports the hit per call — concurrent ranks
+			// cannot misattribute each other's hits the way a global
+			// Stats() delta could.
+			rep, hit, err := e.Cache.ReportHit(key, run)
+			out.FromCache = err == nil && hit
+			return rep, err
 		}
 	}
 	rep, err := attempt()
@@ -301,7 +312,8 @@ func (e *Engine) fleetBackoff() time.Duration {
 
 // fleetSkew runs one uninstrumented whole-world pass and converts its
 // barrier ledger. A nil return (setup error, rank fault) degrades the fleet
-// report to skew-less.
+// report to skew-less. The returned attribution is never written again, so
+// the engine's cache shares it between launches.
 func (e *Engine) fleetSkew(prog mpi.RankProgram, mcfg mpi.Config) (skew *ffm.FleetSkew) {
 	sp := e.Obs.Root().Child(mcfg.Ranks, "fleet", "skew-reference")
 	defer sp.End()
@@ -367,18 +379,17 @@ func (e *Engine) FleetSuiteKey(name string, scale float64, ranks int) (string, b
 	if ranks < 1 {
 		return "", false
 	}
-	cfg := e.config(spec.Factory())
+	fp, ok := fingerprint(e.config(spec.Factory()))
+	if !ok {
+		return "", false
+	}
 	h := sha256.New()
 	writeLenPrefixed(h, []byte("fleet"))
 	var rb [8]byte
 	binary.BigEndian.PutUint64(rb[:], uint64(ranks))
 	h.Write(rb[:])
 	for r := 0; r < ranks; r++ {
-		k, ok := CacheKey(FleetRankID(name, r, ranks), scale, apps.Original, cfg)
-		if !ok {
-			return "", false
-		}
-		writeLenPrefixed(h, []byte(k))
+		writeLenPrefixed(h, []byte(fp.key(FleetRankID(name, r, ranks), scale, apps.Original)))
 	}
 	return hex.EncodeToString(h.Sum(nil)), true
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"diogenes/internal/ffm"
 	"diogenes/internal/gpu"
 	"diogenes/internal/mpi"
+	"diogenes/internal/obs"
 	"diogenes/internal/proc"
 	"diogenes/internal/simtime"
 )
@@ -374,5 +376,136 @@ func TestFleetSuiteKey(t *testing.T) {
 	}
 	if _, ok := eng.FleetSuiteKey("amg", goldenScale, -1); ok {
 		t.Fatal("negative ranks fingerprinted")
+	}
+}
+
+// skewRuns counts the whole-world skew reference runs an observer saw.
+func skewRuns(o *obs.Observer) int {
+	n := 0
+	for _, sp := range o.Root().Children() {
+		if sp.Name() == "skew-reference" {
+			n++
+		}
+	}
+	return n
+}
+
+// TestFleetSkewCached pins the skew memo: a repeated launch on one engine
+// runs no whole world and renders the bytes of the first hit, sharing the
+// first launch's attribution; a launch of another world size or scale
+// misses; and a byte budget that evicts the attribution only costs a
+// re-run, never a different document.
+func TestFleetSkewCached(t *testing.T) {
+	eng := NewEngine(2)
+	o := obs.New("diogenes")
+	eng.SetObserver(o)
+	launch := func(scale float64, ranks int) *ffm.FleetReport {
+		t.Helper()
+		fr, err := eng.Fleet("amg", scale, ranks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fr.Skew == nil {
+			t.Fatalf("amg@%d ranks, scale %v: no skew attribution", ranks, scale)
+		}
+		return fr
+	}
+	miss := launch(0.05, 4)
+	if n := skewRuns(o); n != 1 {
+		t.Fatalf("first launch ran %d skew worlds, want 1", n)
+	}
+	hit := launch(0.05, 4)
+	again := launch(0.05, 4)
+	if n := skewRuns(o); n != 1 {
+		t.Fatalf("repeated launches ran %d skew worlds, want 1", n)
+	}
+	if hit.Skew != miss.Skew || again.Skew != miss.Skew {
+		t.Fatal("a repeated launch did not reuse the memoized attribution")
+	}
+	want := fleetJSON(t, hit)
+	if !bytes.Equal(fleetJSON(t, again), want) {
+		t.Fatal("second hit renders differently from the first")
+	}
+	for i := range miss.PerRank {
+		miss.PerRank[i].FromCache = true
+	}
+	if !bytes.Equal(fleetJSON(t, miss), want) {
+		t.Fatal("hit renders differently from the miss beyond FromCache")
+	}
+
+	launch(0.05, 2)
+	launch(0.1, 4)
+	if n := skewRuns(o); n != 3 {
+		t.Fatalf("launches of another world size and scale ran %d skew worlds in all, want 3", n)
+	}
+
+	// Every entry outweighs this budget, so each launch evicts the last
+	// one's attribution and runs its world again.
+	small := NewEngine(2)
+	so := obs.New("diogenes")
+	small.SetObserver(so)
+	small.Cache.SetByteBudget(1)
+	for i := 0; i < 2; i++ {
+		fr, err := small.Fleet("amg", 0.05, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := range fr.PerRank {
+			fr.PerRank[r].FromCache = true
+		}
+		if !bytes.Equal(fleetJSON(t, fr), want) {
+			t.Fatalf("launch %d under a tiny byte budget renders differently", i)
+		}
+	}
+	if small.Cache.Evictions() == 0 {
+		t.Fatal("the byte budget evicted nothing")
+	}
+	if n := skewRuns(so); n != 2 {
+		t.Fatalf("launches under a tiny budget ran %d skew worlds, want 2", n)
+	}
+}
+
+// TestSkewWorldIsReferenceWorld compares the skew reference world with the
+// world of every rank's reference run, which observes that rank in an
+// op-logging process: on an imbalanced program (non-empty ledger) and on
+// amg, both produce the same per-rank skew and barrier ledger.
+func TestSkewWorldIsReferenceWorld(t *testing.T) {
+	amg, err := apps.ByName("amg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	worlds := []struct {
+		name string
+		prog func() mpi.RankProgram
+		mcfg mpi.Config
+	}{
+		{"skewed-ranks", func() mpi.RankProgram { return &skewedRanks{steps: 4} }, skewedConfig(4)},
+		{"amg", func() mpi.RankProgram { return amg.MPI.Program(0.05, apps.Original) }, amgFleetConfig(4)},
+	}
+	for _, wc := range worlds {
+		run := func(observed int, p *proc.Process) ([]mpi.RankSkew, []mpi.BarrierRecord) {
+			t.Helper()
+			w, err := mpi.NewWorld(wc.prog(), wc.mcfg, observed, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Run(); err != nil {
+				t.Fatal(err)
+			}
+			return w.Skew(), w.Ledger()
+		}
+		skew, ledger := run(mpi.NoObserved, nil)
+		if wc.name == "skewed-ranks" && len(ledger) == 0 {
+			t.Fatal("the imbalanced world recorded no skewed barrier")
+		}
+		for r := 0; r < wc.mcfg.Ranks; r++ {
+			gotSkew, gotLedger := run(r, wc.mcfg.Factory.NewMode(proc.OpLog))
+			if !reflect.DeepEqual(gotSkew, skew) {
+				t.Errorf("%s: rank %d's reference world skew %+v, skew world %+v", wc.name, r, gotSkew, skew)
+			}
+			if !reflect.DeepEqual(gotLedger, ledger) {
+				t.Errorf("%s: rank %d's reference world ledger differs from the skew world's", wc.name, r)
+			}
+		}
 	}
 }

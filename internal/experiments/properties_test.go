@@ -67,7 +67,11 @@ func TestPropertyInvariants(t *testing.T) {
 				build := func(f proc.Factory) proc.App {
 					return fam.New(s.Seed, s.Steps, f)
 				}
-				v, err := autofix.ApplyWith(build, proc.DefaultFactory(), plan, autofix.DefaultOptions())
+				p0 := proc.DefaultFactory().New()
+				if err := proc.SafeRun(build(proc.DefaultFactory()), p0); err != nil {
+					t.Fatalf("%s: unpatched run: %v", s, err)
+				}
+				v, err := autofix.ApplyWith(build, proc.DefaultFactory(), p0.ExecTime(), plan, autofix.DefaultOptions())
 				if err != nil {
 					t.Fatalf("%s: autofix apply: %v", s, err)
 				}
