@@ -567,7 +567,7 @@ func BenchmarkAutofix(b *testing.B) {
 	b.ResetTimer()
 	var v *autofix.Validation
 	for i := 0; i < b.N; i++ {
-		plan := autofix.BuildPlan(rep.Analysis, autofix.DefaultOptions())
+		plan := autofix.BuildPlan(rep.Analysis)
 		v, err = autofix.Apply(spec.New(benchScale, apps.Original), spec.Factory(), plan, autofix.DefaultOptions())
 		if err != nil {
 			b.Fatal(err)
@@ -689,7 +689,7 @@ func BenchmarkFleetAMG4(b *testing.B) {
 
 // BenchmarkFleetAMGHit measures a warm fleet launch: AMG's 8-rank world at
 // scale 0.25 on a width-2 engine whose cache already holds every rank
-// report and the skew attribution, rendered to JSON per iteration. No
+// report, skew attribution included, rendered to JSON per iteration. No
 // simulation runs; what is left is the fleet reduction and the rendering.
 // The CI gate holds its allocs/op. The warm-up renders too, so one-time
 // encoder setup stays out of a single measured iteration.

@@ -101,7 +101,7 @@ func main() {
 	}
 
 	fmt.Println("2. Plan: derive call-site corrections from the analysis.")
-	plan := autofix.BuildPlan(rep.Analysis, autofix.DefaultOptions())
+	plan := autofix.BuildPlan(rep.Analysis)
 	for i, a := range plan.Actions {
 		fmt.Printf("   %d. [%s] %s — est %.3fs over %d occurrences\n",
 			i+1, a.Kind, a.Label, a.Estimated.Seconds(), a.Count)

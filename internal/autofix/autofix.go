@@ -77,18 +77,16 @@ type Plan struct {
 	Skipped []string
 }
 
-// Options tunes the planner.
+// Options tunes how a plan is applied.
 type Options struct {
-	// MinBenefit drops corrections whose estimate is below this.
-	MinBenefit simtime.Duration
 	// Guard enables the mprotect correctness guard on deduplicated
 	// transfer sources (on by default via DefaultOptions).
 	Guard bool
 }
 
-// DefaultOptions returns the standard planner configuration.
+// DefaultOptions returns the standard configuration.
 func DefaultOptions() Options {
-	return Options{MinBenefit: 0, Guard: true}
+	return Options{Guard: true}
 }
 
 func pointKey(n *graph.Node) string { return n.Func + "|" + n.Stack.Key() }
@@ -96,7 +94,7 @@ func pointKey(n *graph.Node) string { return n.Func + "|" + n.Stack.Key() }
 // BuildPlan derives a patch plan from an analysis. Problems are grouped by
 // single point (one patch per call site); each point's remedy follows from
 // its problem class.
-func BuildPlan(a *ffm.Analysis, opts Options) *Plan {
+func BuildPlan(a *ffm.Analysis) *Plan {
 	plan := &Plan{App: a.App}
 	res := graph.ExpectedBenefit(a.Graph, a.Opts.Graph)
 
@@ -141,11 +139,6 @@ func BuildPlan(a *ffm.Analysis, opts Options) *Plan {
 			p.action.Kind = PoolFree
 		default:
 			p.action.Kind = RemoveSync
-		}
-		if p.action.Estimated < opts.MinBenefit {
-			plan.Skipped = append(plan.Skipped,
-				fmt.Sprintf("%s: estimate %v below threshold", p.action.Label, p.action.Estimated))
-			continue
 		}
 		plan.Actions = append(plan.Actions, p.action)
 		plan.Estimated += p.action.Estimated

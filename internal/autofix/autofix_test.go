@@ -107,7 +107,7 @@ func planFor(t *testing.T, app proc.App) (*Plan, proc.Factory) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return BuildPlan(rep.Analysis, DefaultOptions()), factory
+	return BuildPlan(rep.Analysis), factory
 }
 
 func TestBuildPlanFindsRemedies(t *testing.T) {
@@ -201,24 +201,6 @@ func TestApplyWithoutGuard(t *testing.T) {
 	}
 }
 
-func TestMinBenefitThresholdSkips(t *testing.T) {
-	app := &churnApp{iters: 8}
-	factory := proc.DefaultFactory()
-	rep, err := runFFM(app, experimentsConfig(factory))
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := DefaultOptions()
-	opts.MinBenefit = simtime.Duration(simtime.Infinity) / 2
-	plan := BuildPlan(rep.Analysis, opts)
-	if len(plan.Actions) != 0 {
-		t.Fatalf("threshold did not skip: %d actions", len(plan.Actions))
-	}
-	if len(plan.Skipped) == 0 {
-		t.Fatal("skips not reported")
-	}
-}
-
 func TestAutofixOnModelledApps(t *testing.T) {
 	// End-to-end: plan and apply on the paper's workloads; all plans must
 	// validate and realize positive benefit.
@@ -227,7 +209,7 @@ func TestAutofixOnModelledApps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan := BuildPlan(rep.Analysis, DefaultOptions())
+		plan := BuildPlan(rep.Analysis)
 		if len(plan.Actions) == 0 {
 			t.Fatalf("%s: empty plan", name)
 		}
@@ -262,7 +244,7 @@ func TestPropertyAutofixOnRandomApps(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		plan := BuildPlan(rep.Analysis, DefaultOptions())
+		plan := BuildPlan(rep.Analysis)
 		if len(plan.Actions) == 0 {
 			continue // a benign workload is possible; nothing to fix
 		}
@@ -332,7 +314,7 @@ func TestOriginalTimeIsReferenceRun(t *testing.T) {
 		if got := p0.ExecTime(); got != rep.UninstrumentedTime {
 			t.Errorf("%s: unpatched build ran %v, reference run %v", spec.Name, got, rep.UninstrumentedTime)
 		}
-		v, err := Apply(spec.New(scale, apps.Original), spec.Factory(), BuildPlan(rep.Analysis, DefaultOptions()), DefaultOptions())
+		v, err := Apply(spec.New(scale, apps.Original), spec.Factory(), BuildPlan(rep.Analysis), DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}

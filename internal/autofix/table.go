@@ -20,7 +20,7 @@ func EvaluateAppWith(e *experiments.Engine, name string, scale float64) (*experi
 	if err != nil {
 		return nil, err
 	}
-	plan := BuildPlan(rep.Analysis, DefaultOptions())
+	plan := BuildPlan(rep.Analysis)
 	v, err := ApplyWith(func(f proc.Factory) proc.App {
 		return spec.Build(scale, apps.Original, f)
 	}, spec.Factory(), rep.UninstrumentedTime, plan, DefaultOptions())

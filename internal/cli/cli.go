@@ -20,6 +20,7 @@ import (
 	"diogenes/internal/ffm"
 	"diogenes/internal/interpose"
 	"diogenes/internal/obs"
+	"diogenes/internal/proc"
 	"diogenes/internal/report"
 	"diogenes/internal/timeline"
 	"diogenes/internal/trace"
@@ -612,7 +613,7 @@ func Autofix(w io.Writer, eng *experiments.Engine, args []string) error {
 	}
 	opts := autofix.DefaultOptions()
 	opts.Guard = !*noGuard
-	plan := autofix.BuildPlan(rep.Analysis, opts)
+	plan := autofix.BuildPlan(rep.Analysis)
 
 	view := report.PlanView{App: plan.App, Estimated: plan.Estimated, Skipped: plan.Skipped}
 	for _, a := range plan.Actions {
@@ -625,7 +626,11 @@ func Autofix(w io.Writer, eng *experiments.Engine, args []string) error {
 	}
 
 	fmt.Fprintln(w, "\nApplying the plan (call-site elision) and re-running ...")
-	v, err := autofix.Apply(spec.New(*scale, apps.Original), spec.Factory(), plan, opts)
+	// Every process of an MPI launch gets the plan, and the pipeline's
+	// reference run is the unpatched runtime.
+	v, err := autofix.ApplyWith(func(f proc.Factory) proc.App {
+		return spec.Build(*scale, apps.Original, f)
+	}, spec.Factory(), rep.UninstrumentedTime, plan, opts)
 	if err != nil {
 		return err
 	}

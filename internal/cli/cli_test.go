@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -244,6 +245,32 @@ func TestAutofixCommand(t *testing.T) {
 	}
 	if code, _, _ := runMain(t, "autofix"); code != 1 {
 		t.Fatal("missing app accepted")
+	}
+}
+
+// TestAutofixPatchesEveryRank checks that autofix on an MPI application
+// realizes what verify's automatic fix does for it: the plan must reach
+// every rank's process, or the unpatched ranks drag each collective and
+// erase the benefit.
+func TestAutofixPatchesEveryRank(t *testing.T) {
+	code, out, errOut := runMain(t, "autofix", "amg", "-scale", "0.05")
+	if code != 0 {
+		t.Fatalf("autofix: exit = %d: %s", code, errOut)
+	}
+	m := regexp.MustCompile(`realized:\s+(\d+\.\d+s) \((\d+\.\d+)%`).FindStringSubmatch(out)
+	if m == nil {
+		t.Fatalf("autofix output has no realized line:\n%s", out)
+	}
+	code, out, errOut = runMain(t, "verify", "-scale", "0.05")
+	if code != 0 {
+		t.Fatalf("verify: exit = %d: %s", code, errOut)
+	}
+	v := regexp.MustCompile(`(?m)^amg .*%\)\s+(\d+\.\d+s) \(\s*(\d+\.\d+)%`).FindStringSubmatch(out)
+	if v == nil {
+		t.Fatalf("verify output has no amg row:\n%s", out)
+	}
+	if m[1] != v[1] || m[2] != v[2] {
+		t.Fatalf("autofix amg realized %s (%s%%), verify's automatic fix %s (%s%%)", m[1], m[2], v[1], v[2])
 	}
 }
 

@@ -99,9 +99,8 @@ func (cc configPrint) key(app string, scale float64, variant apps.Variant) strin
 // evaluation suites (table1, table2, autofix verify) stop re-running
 // identical pipelines: all three need the same per-app FFM report, and the
 // benefit tables additionally re-measure the same uninstrumented runtimes.
-// A fleet launch memoizes its rank reports and its collective-skew
-// attribution, so a repeated launch runs neither a pipeline nor the
-// whole-world skew reference run.
+// A fleet launch memoizes its rank reports, which carry the collective-
+// skew attribution, so a repeated launch runs no pipeline and no world.
 // The cache is safe for concurrent use and deduplicates in-flight work —
 // two workers asking for the same key run the pipeline once.
 //
@@ -114,9 +113,9 @@ func (cc configPrint) key(app string, scale float64, variant apps.Variant) strin
 // returned and retained rather than thrashed. The default budget of zero keeps the historical unbounded
 // behaviour.
 //
-// Cached values are shared: callers must treat a returned *ffm.Report or
-// *ffm.FleetSkew as immutable. Rendering either only reads it, so
-// concurrent readers need no further coordination.
+// Cached values are shared: callers must treat a returned *ffm.Report,
+// and the attribution it carries, as immutable. Rendering only reads
+// them, so concurrent readers need no further coordination.
 type ReportCache struct {
 	mu      sync.Mutex
 	entries map[string]*cacheEntry
@@ -154,10 +153,9 @@ func NewReportCache() *ReportCache {
 }
 
 // SetByteBudget caps the cache's resident cost at n bytes (estimated
-// resident size for reports and skew attributions, a small nominal cost
-// for runtimes), evicting
-// LRU entries immediately if the cache is already over. n <= 0 removes the
-// bound.
+// resident size for reports, skew attributions included, and a small
+// nominal cost for runtimes), evicting LRU entries immediately if the
+// cache is already over. n <= 0 removes the bound.
 func (c *ReportCache) SetByteBudget(n int64) {
 	if c == nil {
 		return
@@ -323,37 +321,7 @@ func (c *ReportCache) Runtime(key string, compute func() (simtime.Duration, erro
 	return d, nil
 }
 
-// Skew memoizes a fleet's collective-skew attribution, the product of one
-// uninstrumented whole-world run. A nil attribution (the world failed) is
-// memoized like a failed report: the world is deterministic, so it would
-// fail the same way again. The retention cost is the attribution's
-// resident size.
-func (c *ReportCache) Skew(key string, compute func() *ffm.FleetSkew) *ffm.FleetSkew {
-	v, _, _ := c.do("skew/"+key, func() (any, int64, error) {
-		sk := compute()
-		return sk, skewCost(sk), nil
-	})
-	sk, _ := v.(*ffm.FleetSkew)
-	return sk
-}
-
-// skewCost is a skew attribution's resident bytes plus the entry's
-// nominal bookkeeping: one record per rank and per skewed barrier, and
-// each barrier's per-rank waits.
-func skewCost(sk *ffm.FleetSkew) int64 {
-	n := int64(runtimeEntryCost)
-	if sk == nil {
-		return n
-	}
-	n += sizeSkew + int64(len(sk.PerRank))*sizeSkewRank + int64(len(sk.Barriers))*sizeBarrier
-	for i := range sk.Barriers {
-		n += int64(len(sk.Barriers[i].RankWaits)) * sizeDuration
-	}
-	return n
-}
-
-// Resident sizes of the report's and the skew attribution's building
-// blocks, for reportCost and skewCost.
+// Resident sizes of the report's building blocks, for reportCost.
 const (
 	sizeReport   = int64(unsafe.Sizeof(ffm.Report{}))
 	sizeBaseline = int64(unsafe.Sizeof(ffm.BaselineResult{}))
@@ -375,10 +343,11 @@ const (
 
 // reportCost estimates a report's resident bytes in one pass over its
 // in-memory form, without encoding or allocating: trace records, device
-// ops, graph nodes and analysis groups at their struct size, plus their
-// string and call-stack lengths. Graph nodes share their record's function
-// name and stack, so those are counted once, on the record. It is the
-// byte-budget charge for a cached report.
+// ops, graph nodes, analysis groups and skew records (one per rank, one
+// per skewed barrier, and each barrier's per-rank waits) at their struct
+// size, plus their string and call-stack lengths. Graph nodes share their
+// record's function name and stack, so those are counted once, on the
+// record. It is the byte-budget charge for a cached report.
 func reportCost(rep *ffm.Report) int64 {
 	if rep == nil {
 		return 0
@@ -416,6 +385,12 @@ func reportCost(rep *ffm.Report) int64 {
 			for i := range groups {
 				n += int64(len(groups[i].Key)+len(groups[i].Label)) + int64(len(groups[i].Nodes))*sizePointer
 			}
+		}
+	}
+	if sk := rep.Skew(); sk != nil {
+		n += sizeSkew + int64(len(sk.PerRank))*sizeSkewRank + int64(len(sk.Barriers))*sizeBarrier
+		for i := range sk.Barriers {
+			n += int64(len(sk.Barriers[i].RankWaits)) * sizeDuration
 		}
 	}
 	return n

@@ -10,7 +10,6 @@ import (
 
 	"diogenes/internal/apps"
 	"diogenes/internal/ffm"
-	"diogenes/internal/mpi"
 	"diogenes/internal/proc"
 	"diogenes/internal/trace"
 )
@@ -310,7 +309,6 @@ func TestCacheKeyBytesPinned(t *testing.T) {
 		{"rodinia_gaussian", 0.25, apps.Original, "2e2a56f3b1475a622875c2ac021b16fbec7f95324473d6683b24c850abccd6de"},
 		{"rodinia_gaussian", 0.25, apps.Fixed, "fcdd098014f85b4fba99767f913b185ff48aac4530c500befc2d504eeea46ece"},
 		{FleetRankID("amg", 3, 8), 0.25, apps.Original, "89efeb6e9cd9a26ac5e0dd3bb7edc1f379a7dae613304aa2e51024382777aa03"},
-		{FleetRankID("amg", mpi.NoObserved, 8), 0.25, apps.Original, "edba4aed08dc0ae91bc0566553ab1eb51e9db2ba1160d6628279651ac3826c85"},
 	}
 	for _, k := range keys {
 		f, ok := apps.FactoryFor(k.app)

@@ -27,9 +27,8 @@ type Engine struct {
 	// overlaps the stages inside each pipeline (stageWidth). 0 selects
 	// GOMAXPROCS; 1 is serial.
 	Workers int
-	// Cache, when non-nil, memoizes pipeline reports, uninstrumented
-	// runtimes and fleet skew attributions across Table1/Table2/autofix
-	// calls and fleet launches.
+	// Cache, when non-nil, memoizes pipeline reports and uninstrumented
+	// runtimes across Table1/Table2/autofix calls and fleet launches.
 	Cache *ReportCache
 	// Obs, when non-nil, receives self-measurement from every layer the
 	// engine drives: pipeline spans and overhead reports (via

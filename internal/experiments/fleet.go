@@ -30,7 +30,8 @@ func FleetRankID(app string, rank, ranks int) string {
 // Fleet runs the full FFM pipeline on every rank of the named application's
 // MPI world and aggregates the per-rank findings into one fleet report:
 // cross-rank duplicate transfers, per-problem benefit spread, and
-// collective-skew attribution from a whole-world reference run.
+// collective-skew attribution from the whole world that the lowest-ranked
+// completed pipeline's reference run simulated.
 //
 // Aggregation streams: each rank's outcome folds into a running
 // ffm.FleetAccumulator the moment the rank finishes, releasing the rank's
@@ -42,15 +43,14 @@ func FleetRankID(app string, rank, ranks int) string {
 // Fault containment: a rank whose pipeline fails (error or panic) is
 // retried once after a short backoff; if the retry also fails the rank is
 // recorded in the report's FailedRanks and the launch still succeeds with a
-// partial report. Fleet only returns an error when the request itself is
+// partial report. When no rank pipeline completes, the report carries no
+// skew attribution. Fleet only returns an error when the request itself is
 // invalid (unknown or single-process application, bad rank count).
 //
 // ranks 0 selects the application's default world size. Per-rank pipelines
 // are memoized through the engine's cache like every other engine run, and
-// so is the skew reference run, keyed as the world with no observed rank
-// (FleetRankID(name, mpi.NoObserved, ranks)): a repeated launch on one
-// engine simulates nothing. A cached launch records no skew-reference
-// span.
+// the skew attribution rides on the cached rank reports: a repeated launch
+// on one engine simulates nothing.
 func (e *Engine) Fleet(name string, scale float64, ranks int) (*ffm.FleetReport, error) {
 	return e.FleetCtx(context.Background(), name, scale, ranks)
 }
@@ -86,10 +86,9 @@ func (e *Engine) FleetCtx(ctx context.Context, name string, scale float64, ranks
 
 // FleetOver runs fleet analysis over an explicit rank program and launch
 // configuration, bypassing the registry and the report cache. newProg is
-// called with the rank whose pipeline the program instance will serve
-// (mpi.NoObserved for the whole-world skew reference run), so tests can
-// inject faults into one rank's tool instance. It applies the same
-// containment policy as Fleet.
+// called with the rank whose pipeline the program instance will serve, so
+// tests can inject faults into one rank's tool instance. It applies the
+// same containment policy as Fleet.
 func (e *Engine) FleetOver(app string, newProg func(observed int) mpi.RankProgram, mcfg mpi.Config) (*ffm.FleetReport, error) {
 	return e.fleet(context.Background(), app, newProg, mcfg, nil)
 }
@@ -100,44 +99,31 @@ func (e *Engine) FleetOver(app string, newProg func(observed int) mpi.RankProgra
 // result folds into the accumulator immediately. It is the entry point
 // for driving the reduction at widths where executing real pipelines is
 // beside the point — the scale benchmarks prove flat allocated-bytes-
-// per-rank with it — and for replaying recorded outcomes. No skew
-// reference run is performed.
+// per-rank with it — and for replaying recorded outcomes. The skew
+// attribution comes from the outcomes' reports, like a live launch's.
 func (e *Engine) FleetReduce(app string, ranks int, outcome func(rank int) ffm.RankOutcome) (*ffm.FleetReport, error) {
-	if ranks < 1 {
-		return nil, fmt.Errorf("experiments: fleet over %d ranks, need at least 1", ranks)
-	}
 	return e.fleetReduce(context.Background(), app, ranks,
-		func(_ context.Context, r int) ffm.RankOutcome { return outcome(r) }, nil)
+		func(_ context.Context, r int) ffm.RankOutcome { return outcome(r) })
 }
 
-// fleet runs a live launch. keyFor, nil for an uncachable launch, keys
-// each rank's report in the engine's cache, and keyFor(mpi.NoObserved) —
-// the whole world with no observed rank — keys the skew attribution.
+// fleet runs a live launch: one pipeline per rank and nothing else.
+// keyFor, nil for an uncachable launch, keys each rank's report in the
+// engine's cache.
 func (e *Engine) fleet(ctx context.Context, app string, newProg func(int) mpi.RankProgram, mcfg mpi.Config, keyFor func(int) string) (*ffm.FleetReport, error) {
-	if mcfg.Ranks < 1 {
-		return nil, fmt.Errorf("experiments: fleet over %d ranks, need at least 1", mcfg.Ranks)
-	}
-	// Whole-world reference run for the skew attribution, after every rank
-	// has folded. Its failure (the same fault the per-rank pipelines
-	// contained) degrades the report to skew-less rather than failing the
-	// launch.
-	skew := func() *ffm.FleetSkew { return e.fleetSkew(newProg(mpi.NoObserved), mcfg) }
-	if e.Cache != nil && keyFor != nil {
-		key, world := keyFor(mpi.NoObserved), skew
-		skew = func() *ffm.FleetSkew { return e.Cache.Skew(key, world) }
-	}
 	return e.fleetReduce(ctx, app, mcfg.Ranks,
 		func(ctx context.Context, r int) ffm.RankOutcome {
 			return e.fleetRank(ctx, app, r, newProg, mcfg, keyFor)
-		}, skew)
+		})
 }
 
 // fleetReduce is the shared streaming reduction: contiguous rank batches
 // run as pool tasks, each folding its ranks into one partial and offering
 // it to the accumulator, whose adjacent-range merges execute on the same
-// workers. skew, when non-nil, runs after the rank folds and rides along
-// on the assembled report.
-func (e *Engine) fleetReduce(ctx context.Context, app string, ranks int, outcome func(ctx context.Context, rank int) ffm.RankOutcome, skew func() *ffm.FleetSkew) (*ffm.FleetReport, error) {
+// workers.
+func (e *Engine) fleetReduce(ctx context.Context, app string, ranks int, outcome func(ctx context.Context, rank int) ffm.RankOutcome) (*ffm.FleetReport, error) {
+	if ranks < 1 {
+		return nil, fmt.Errorf("experiments: fleet over %d ranks, need at least 1", ranks)
+	}
 	pool, err := e.pool()
 	if err != nil {
 		return nil, err
@@ -177,11 +163,7 @@ func (e *Engine) fleetReduce(ctx context.Context, app string, ranks int, outcome
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("experiments: fleet canceled: %w", err)
 	}
-	var sk *ffm.FleetSkew
-	if skew != nil {
-		sk = skew()
-	}
-	return acc.Finalize(app, sk)
+	return acc.Finalize(app)
 }
 
 // fleetBatchSize resolves how many contiguous ranks one reduction task
@@ -230,7 +212,8 @@ func (e *Engine) fleetRank(ctx context.Context, app string, rank int, newProg fu
 	cfg := e.config(mcfg.Factory)
 	cfg.Parent = span
 	run := func() (*ffm.Report, error) {
-		return containedRun(mpi.App(newProg(rank), mcfg, rank), cfg)
+		prog := newProg(rank)
+		return containedRun(rankApp{mpi.App(prog, mcfg, rank), prog, mcfg, rank}, cfg)
 	}
 	attempt := run
 	if e.Cache != nil && keyFor != nil {
@@ -310,29 +293,27 @@ func (e *Engine) fleetBackoff() time.Duration {
 	return defaultFleetBackoff
 }
 
-// fleetSkew runs one uninstrumented whole-world pass and converts its
-// barrier ledger. A nil return (setup error, rank fault) degrades the fleet
-// report to skew-less. The returned attribution is never written again, so
-// the engine's cache shares it between launches.
-func (e *Engine) fleetSkew(prog mpi.RankProgram, mcfg mpi.Config) (skew *ffm.FleetSkew) {
-	sp := e.Obs.Root().Child(mcfg.Ranks, "fleet", "skew-reference")
-	defer sp.End()
-	defer func() {
-		if v := recover(); v != nil {
-			skew = nil
-			sp.SetArg("failed", fmt.Sprint(v))
-		}
-	}()
-	w, err := mpi.NewWorld(prog, mcfg, mpi.NoObserved, nil)
+// rankApp is one rank's pipeline target: the mpi adapter observing the
+// rank, whose reference run (ffm.SkewApp) also returns the world's
+// collective-skew attribution.
+type rankApp struct {
+	proc.App
+	prog mpi.RankProgram
+	mcfg mpi.Config
+	rank int
+}
+
+// RunSkew runs the world with the rank living in p and converts its
+// barrier ledger.
+func (a rankApp) RunSkew(p *proc.Process) (*ffm.FleetSkew, error) {
+	w, err := mpi.NewWorld(a.prog, a.mcfg, a.rank, p)
 	if err != nil {
-		sp.SetArg("failed", err.Error())
-		return nil
+		return nil, err
 	}
 	if err := w.Run(); err != nil {
-		sp.SetArg("failed", err.Error())
-		return nil
+		return nil, err
 	}
-	return convertSkew(w.Skew(), w.Ledger())
+	return convertSkew(w.Skew(), w.Ledger()), nil
 }
 
 // convertSkew maps the mpi barrier ledger onto the ffm report form and

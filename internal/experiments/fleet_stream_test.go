@@ -186,7 +186,7 @@ func TestFleetReduceSynthetic(t *testing.T) {
 	for r := range outcomes {
 		outcomes[r] = gen(r)
 	}
-	want := ffm.AggregateFleet("synthetic", ranks, outcomes, nil)
+	want := ffm.AggregateFleet("synthetic", ranks, outcomes)
 	if !bytes.Equal(fleetJSON(t, fr), fleetJSON(t, want)) {
 		t.Fatal("FleetReduce differs from AggregateFleet")
 	}

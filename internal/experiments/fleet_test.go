@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,7 +15,6 @@ import (
 	"diogenes/internal/ffm"
 	"diogenes/internal/gpu"
 	"diogenes/internal/mpi"
-	"diogenes/internal/obs"
 	"diogenes/internal/proc"
 	"diogenes/internal/simtime"
 )
@@ -211,8 +212,7 @@ func TestFleetContainsPanickingRank(t *testing.T) {
 			t.Fatalf("healthy rank %d has no report: %+v", r, fr.PerRank[r])
 		}
 	}
-	// The whole-world skew reference run does not go through the faulty
-	// instance, so the skew account survives.
+	// The surviving ranks' reference runs carry the skew account.
 	if fr.Skew == nil {
 		t.Fatal("skew account lost")
 	}
@@ -244,11 +244,22 @@ func TestFleetContainsErroringRank(t *testing.T) {
 	if fr.PerRank[1].Failed() {
 		t.Fatal("healthy rank 1 lost its report")
 	}
+	// Rank 0's attribution is gone with its report; rank 1's reference
+	// run supplies the same one a healthy launch takes from rank 0.
+	healthy, err := NewEngine(2).FleetOver("amg", func(int) mpi.RankProgram {
+		return spec.MPI.Program(goldenScale, apps.Original)
+	}, amgFleetConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fr.Skew == nil || !reflect.DeepEqual(fr.Skew, healthy.Skew) {
+		t.Fatalf("skew with rank 0 failed = %+v, healthy launch's = %+v", fr.Skew, healthy.Skew)
+	}
 }
 
 // TestFleetDegradesWhenAppBroken is the worst case: the application fault
-// is deterministic and hits every pipeline and the skew reference run. The
-// launch still exits cleanly with a fully degraded report.
+// is deterministic and hits every world of every pipeline. The launch
+// still exits cleanly with a fully degraded report.
 func TestFleetDegradesWhenAppBroken(t *testing.T) {
 	spec := apps.Must("amg")
 	eng := NewEngine(2)
@@ -379,89 +390,150 @@ func TestFleetSuiteKey(t *testing.T) {
 	}
 }
 
-// skewRuns counts the whole-world skew reference runs an observer saw.
-func skewRuns(o *obs.Observer) int {
-	n := 0
-	for _, sp := range o.Root().Children() {
-		if sp.Name() == "skew-reference" {
-			n++
-		}
-	}
-	return n
+// worldCounter counts whole-world simulations: every world sets rank 0 up
+// exactly once.
+type worldCounter struct {
+	mpi.RankProgram
+	n *atomic.Int64
 }
 
-// TestFleetSkewCached pins the skew memo: a repeated launch on one engine
-// runs no whole world and renders the bytes of the first hit, sharing the
-// first launch's attribution; a launch of another world size or scale
-// misses; and a byte budget that evicts the attribution only costs a
-// re-run, never a different document.
-func TestFleetSkewCached(t *testing.T) {
-	eng := NewEngine(2)
-	o := obs.New("diogenes")
-	eng.SetObserver(o)
-	launch := func(scale float64, ranks int) *ffm.FleetReport {
+func (w worldCounter) Setup(p *proc.Process, rank int) (mpi.RankState, error) {
+	if rank == 0 {
+		w.n.Add(1)
+	}
+	return w.RankProgram.Setup(p, rank)
+}
+
+// TestFleetRunsOnlyRankWorlds pins the world count of a cached amg launch
+// at scale 0.05 over 4 ranks: a miss runs exactly the worlds of its rank
+// pipelines, with no separate skew pass, and still carries the skew
+// attribution; a repeated launch runs no world and renders the miss's
+// bytes; and a byte budget that evicts the rank reports costs re-runs,
+// never a different document.
+func TestFleetRunsOnlyRankWorlds(t *testing.T) {
+	const ranks, scale = 4, 0.05
+	spec := apps.Must("amg")
+	mcfg := amgFleetConfig(ranks)
+	var worlds atomic.Int64
+	newProg := func(int) mpi.RankProgram {
+		return worldCounter{spec.MPI.Program(scale, apps.Original), &worlds}
+	}
+	counted := func() int64 { return worlds.Swap(0) }
+
+	// The worlds one rank pipeline runs: the reference run and stages 1-4.
+	if _, err := ffm.Run(mpi.App(newProg(0), mcfg, 0), NewEngine(2).config(mcfg.Factory)); err != nil {
+		t.Fatal(err)
+	}
+	perPipeline := counted()
+
+	// The cached launch Fleet makes, over the counting program.
+	launch := func(eng *Engine) *ffm.FleetReport {
 		t.Helper()
-		fr, err := eng.Fleet("amg", scale, ranks)
+		fp, ok := fingerprint(eng.config(mcfg.Factory))
+		if !ok {
+			t.Fatal("amg's configuration cannot be fingerprinted")
+		}
+		keyFor := func(r int) string { return fp.key(FleetRankID("amg", r, ranks), scale, apps.Original) }
+		fr, err := eng.fleet(context.Background(), "amg", newProg, mcfg, keyFor)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fr.Skew == nil {
-			t.Fatalf("amg@%d ranks, scale %v: no skew attribution", ranks, scale)
+		if fr.Partial || fr.Skew == nil {
+			t.Fatalf("partial=%v skew=%v, want a complete report with skew", fr.Partial, fr.Skew)
 		}
 		return fr
 	}
-	miss := launch(0.05, 4)
-	if n := skewRuns(o); n != 1 {
-		t.Fatalf("first launch ran %d skew worlds, want 1", n)
+	eng := NewEngine(2)
+	miss := launch(eng)
+	if n := counted(); n != ranks*perPipeline {
+		t.Fatalf("a miss ran %d worlds, want %d ranks × %d worlds per pipeline", n, ranks, perPipeline)
 	}
-	hit := launch(0.05, 4)
-	again := launch(0.05, 4)
-	if n := skewRuns(o); n != 1 {
-		t.Fatalf("repeated launches ran %d skew worlds, want 1", n)
+	want, err := NewEngine(2).Fleet("amg", scale, ranks)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if hit.Skew != miss.Skew || again.Skew != miss.Skew {
-		t.Fatal("a repeated launch did not reuse the memoized attribution")
+	if !bytes.Equal(fleetJSON(t, miss), fleetJSON(t, want)) {
+		t.Fatal("the counted launch renders differently from Fleet")
 	}
-	want := fleetJSON(t, hit)
-	if !bytes.Equal(fleetJSON(t, again), want) {
-		t.Fatal("second hit renders differently from the first")
+
+	hit := launch(eng)
+	if n := counted(); n != 0 {
+		t.Fatalf("a repeated launch ran %d worlds, want 0", n)
 	}
 	for i := range miss.PerRank {
 		miss.PerRank[i].FromCache = true
 	}
-	if !bytes.Equal(fleetJSON(t, miss), want) {
+	wantHit := fleetJSON(t, miss)
+	if !bytes.Equal(fleetJSON(t, hit), wantHit) {
 		t.Fatal("hit renders differently from the miss beyond FromCache")
 	}
 
-	launch(0.05, 2)
-	launch(0.1, 4)
-	if n := skewRuns(o); n != 3 {
-		t.Fatalf("launches of another world size and scale ran %d skew worlds in all, want 3", n)
-	}
-
-	// Every entry outweighs this budget, so each launch evicts the last
-	// one's attribution and runs its world again.
+	// Every report outweighs this budget, so each launch evicts most of
+	// the last one's reports and runs their pipelines again.
 	small := NewEngine(2)
-	so := obs.New("diogenes")
-	small.SetObserver(so)
 	small.Cache.SetByteBudget(1)
 	for i := 0; i < 2; i++ {
-		fr, err := small.Fleet("amg", 0.05, 4)
-		if err != nil {
-			t.Fatal(err)
+		fr := launch(small)
+		if n := counted(); n < perPipeline {
+			t.Fatalf("launch %d under a tiny byte budget ran %d worlds, want at least %d", i, n, perPipeline)
 		}
 		for r := range fr.PerRank {
 			fr.PerRank[r].FromCache = true
 		}
-		if !bytes.Equal(fleetJSON(t, fr), want) {
+		if !bytes.Equal(fleetJSON(t, fr), wantHit) {
 			t.Fatalf("launch %d under a tiny byte budget renders differently", i)
 		}
 	}
 	if small.Cache.Evictions() == 0 {
 		t.Fatal("the byte budget evicted nothing")
 	}
-	if n := skewRuns(so); n != 2 {
-		t.Fatalf("launches under a tiny budget ran %d skew worlds, want 2", n)
+}
+
+// stageFault fails every world after the first one its instance runs. On
+// a serial engine a rank pipeline runs its reference world first, so the
+// reference run completes and every instrumented stage fails.
+type stageFault struct {
+	mpi.RankProgram
+	worlds int
+}
+
+func (f *stageFault) Setup(p *proc.Process, rank int) (mpi.RankState, error) {
+	if rank == 0 {
+		f.worlds++
+	}
+	if f.worlds > 1 {
+		return nil, errInjected
+	}
+	return f.RankProgram.Setup(p, rank)
+}
+
+// TestFleetSkewNeedsACompletedRank pins where the skew attribution comes
+// from: a completed rank pipeline. When every pipeline fails in its
+// instrumented stages, the report has no skew, although each rank's
+// reference world ran to the end.
+func TestFleetSkewNeedsACompletedRank(t *testing.T) {
+	spec := apps.Must("amg")
+	eng := NewEngine(1)
+	eng.FleetBackoff = time.Nanosecond
+	var progs []*stageFault
+	fr, err := eng.FleetOver("amg", func(int) mpi.RankProgram {
+		f := &stageFault{RankProgram: spec.MPI.Program(goldenScale, apps.Original)}
+		progs = append(progs, f)
+		return f
+	}, amgFleetConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fr.Analyzed != 0 || len(fr.FailedRanks) != 2 {
+		t.Fatalf("analyzed=%d failed=%v, want every rank failed", fr.Analyzed, fr.FailedRanks)
+	}
+	for i, f := range progs {
+		if f.worlds < 2 {
+			t.Fatalf("program %d ran %d worlds, want its reference world and a failing stage", i, f.worlds)
+		}
+	}
+	if fr.Skew != nil {
+		t.Fatalf("skew without a completed rank: %+v", fr.Skew)
 	}
 }
 

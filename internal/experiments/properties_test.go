@@ -59,7 +59,7 @@ func TestPropertyInvariants(t *testing.T) {
 				// Invariant 4: autofix soundness. A patched run must never
 				// be slower than its own unpatched baseline, and a tripped
 				// correctness guard must invalidate the fix, not panic.
-				plan := autofix.BuildPlan(rep.Analysis, autofix.DefaultOptions())
+				plan := autofix.BuildPlan(rep.Analysis)
 				if len(plan.Actions) == 0 {
 					continue
 				}

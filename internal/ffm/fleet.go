@@ -69,10 +69,10 @@ type FleetSkewRank struct {
 	Straggles int              `json:"straggles"`
 }
 
-// FleetBarrier is one skewed collective from the whole-world reference
-// run's barrier ledger: when it happened, which rank arrived last, and how
-// long every other rank stood waiting. Balanced barriers are not recorded,
-// so a perfectly balanced world serializes without a barriers field.
+// FleetBarrier is one skewed collective from the reference run's barrier
+// ledger: when it happened, which rank arrived last, and how long every
+// other rank stood waiting. Balanced barriers are not recorded, so a
+// perfectly balanced world serializes without a barriers field.
 type FleetBarrier struct {
 	// Index is the barrier's ordinal among all collectives executed
 	// (balanced ones included).
@@ -130,7 +130,7 @@ type FleetReport struct {
 // AggregateFleet merges per-rank pipeline outcomes into one fleet report:
 // duplicate transfers are deduplicated across ranks by payload digest,
 // problem groups are summed with min/max rank attribution, and the skew
-// account (when the whole-world reference run produced one) rides along.
+// attribution comes from the lowest-ranked report that carries one.
 // outcomes must be indexed by rank.
 //
 // It is implemented as a sequential fold over the same FleetPartial
@@ -139,7 +139,7 @@ type FleetReport struct {
 // accumulator produce byte-identical documents by construction. Each
 // outcome's full Report is released as it is folded; the returned
 // report's PerRank entries carry the summaries only.
-func AggregateFleet(app string, ranks int, outcomes []RankOutcome, skew *FleetSkew) *FleetReport {
+func AggregateFleet(app string, ranks int, outcomes []RankOutcome) *FleetReport {
 	var root *FleetPartial
 	for i := range outcomes {
 		leaf := FoldRankOutcome(outcomes[i])
@@ -152,7 +152,7 @@ func AggregateFleet(app string, ranks int, outcomes []RankOutcome, skew *FleetSk
 	if root == nil {
 		root = &FleetPartial{}
 	}
-	return root.assemble(app, ranks, skew)
+	return root.assemble(app, ranks)
 }
 
 // TopProblem returns the highest-total aggregated problem, if any.

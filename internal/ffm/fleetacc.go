@@ -39,6 +39,9 @@ type FleetPartial struct {
 	Outcomes []RankOutcome
 	Dups     []FleetDuplicate
 	Problems []FleetProblem
+	// skew is the lowest-ranked report's skew attribution: every rank's
+	// reference run simulates the same world.
+	skew *FleetSkew
 
 	// Lookup indexes into Dups/Problems, built by FoldRankOutcome and
 	// maintained incrementally so absorbing a partial costs O(absorbed),
@@ -73,6 +76,7 @@ func FoldRankOutcome(o RankOutcome) *FleetPartial {
 		return p
 	}
 	p.Analyzed = 1
+	p.skew = rep.Skew()
 	o.ExecTime = rep.UninstrumentedTime
 	if rep.Analysis != nil {
 		o.TotalBenefit = rep.Analysis.TotalBenefit()
@@ -133,7 +137,8 @@ func FoldRankOutcome(o RankOutcome) *FleetPartial {
 // b's — and returns a. The merge is in place: a is extended, b must not
 // be used afterwards. Because every combination rule is associative and
 // ties resolve toward the lower rank range (Func from the first range
-// that saw the digest, Min/Max ties keeping the earlier rank), any merge
+// that saw the digest, Min/Max ties keeping the earlier rank, the skew
+// attribution from the lower range that has one), any merge
 // tree over adjacent ranges yields the same partial as folding ranks
 // 0..N-1 sequentially.
 func Merge(a, b *FleetPartial) (*FleetPartial, error) {
@@ -155,6 +160,9 @@ func Merge(a, b *FleetPartial) (*FleetPartial, error) {
 func (p *FleetPartial) absorb(q *FleetPartial) {
 	p.Hi = q.Hi
 	p.Analyzed += q.Analyzed
+	if p.skew == nil {
+		p.skew = q.skew
+	}
 	p.Failed = append(p.Failed, q.Failed...)
 	p.Outcomes = append(p.Outcomes, q.Outcomes...)
 	for _, d := range q.Dups {
@@ -195,8 +203,8 @@ func (p *FleetPartial) absorb(q *FleetPartial) {
 // assemble builds the final fleet report from a fully merged partial:
 // drop digests that never crossed a rank boundary, then apply the total-
 // order sorts that make the document independent of merge shape.
-func (p *FleetPartial) assemble(app string, ranks int, skew *FleetSkew) *FleetReport {
-	fr := &FleetReport{App: app, Ranks: ranks, Analyzed: p.Analyzed, PerRank: p.Outcomes, Skew: skew}
+func (p *FleetPartial) assemble(app string, ranks int) *FleetReport {
+	fr := &FleetReport{App: app, Ranks: ranks, Analyzed: p.Analyzed, PerRank: p.Outcomes, Skew: p.skew}
 	fr.FailedRanks = append(fr.FailedRanks, p.Failed...)
 	sort.Ints(fr.FailedRanks)
 	fr.Partial = len(fr.FailedRanks) > 0
@@ -332,10 +340,10 @@ func (a *FleetAccumulator) Progress() FleetProgress {
 
 // Finalize completes the reduction: exactly one partial spanning
 // [0, ranks) must be pending (every rank offered, every merge drained).
-// It assembles and returns the fleet report, releasing all accumulator
-// state. A canceled or faulted reduction that left gaps returns an error
+// It assembles and returns the fleet report, whose skew attribution is
+// the merged partial's, releasing all accumulator state. A canceled or faulted reduction that left gaps returns an error
 // naming the missing ranks instead of a silently truncated report.
-func (a *FleetAccumulator) Finalize(app string, skew *FleetSkew) (*FleetReport, error) {
+func (a *FleetAccumulator) Finalize(app string) (*FleetReport, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if len(a.pending) != 1 {
@@ -351,5 +359,5 @@ func (a *FleetAccumulator) Finalize(app string, skew *FleetSkew) (*FleetReport, 
 		return nil, fmt.Errorf("ffm: fleet reduction incomplete: pending partial does not span [0,%d)", a.ranks)
 	}
 	a.takeLocked(0)
-	return p.assemble(app, a.ranks, skew), nil
+	return p.assemble(app, a.ranks), nil
 }

@@ -117,7 +117,7 @@ func TestMergeRequiresAdjacency(t *testing.T) {
 // — where nothing merges until the odds arrive.
 func TestAccumulatorMatchesAggregate(t *testing.T) {
 	const ranks = 97
-	want := reportBytes(t, AggregateFleet("synth", ranks, synthOutcomes(ranks), nil))
+	want := reportBytes(t, AggregateFleet("synth", ranks, synthOutcomes(ranks)))
 	rng := rand.New(rand.NewSource(42))
 	var orders [][]int
 	for trial := 0; trial < 5; trial++ {
@@ -137,7 +137,7 @@ func TestAccumulatorMatchesAggregate(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		fr, err := acc.Finalize("synth", nil)
+		fr, err := acc.Finalize("synth")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +159,7 @@ func TestAccumulatorMatchesAggregate(t *testing.T) {
 // in random completion order.
 func TestAccumulatorBatchedOffers(t *testing.T) {
 	const ranks = 64
-	want := reportBytes(t, AggregateFleet("synth", ranks, synthOutcomes(ranks), nil))
+	want := reportBytes(t, AggregateFleet("synth", ranks, synthOutcomes(ranks)))
 	rng := rand.New(rand.NewSource(7))
 	for _, batch := range []int{1, 3, 16, 64} {
 		var parts []*FleetPartial
@@ -186,7 +186,7 @@ func TestAccumulatorBatchedOffers(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		fr, err := acc.Finalize("synth", nil)
+		fr, err := acc.Finalize("synth")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,14 +205,14 @@ func TestAccumulatorIncompleteFinalize(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := acc.Finalize("synth", nil); err == nil {
+	if _, err := acc.Finalize("synth"); err == nil {
 		t.Fatal("finalize accepted a reduction missing ranks 4-7")
 	}
 	acc2 := NewFleetAccumulator(8)
 	if err := acc2.Offer(FoldRankOutcome(synthOutcome(2))); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := acc2.Finalize("synth", nil); err == nil {
+	if _, err := acc2.Finalize("synth"); err == nil {
 		t.Fatal("finalize accepted a single partial not starting at rank 0")
 	}
 }

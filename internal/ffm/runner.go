@@ -96,6 +96,33 @@ type Report struct {
 	Stage2Overhead simtime.Duration
 	Stage3Overhead simtime.Duration
 	Stage4Overhead simtime.Duration
+
+	skew *FleetSkew
+}
+
+// Skew returns the collective-skew attribution of the world the reference
+// run simulated, or nil when the application is not a SkewApp.
+func (r *Report) Skew() *FleetSkew { return r.skew }
+
+// SkewApp is one rank's view of a multi-rank world. The pipeline's
+// reference run calls RunSkew in place of Run, which also returns the
+// world's collective-skew attribution. ffm declares it so that it imports
+// no launch package.
+type SkewApp interface {
+	proc.App
+	RunSkew(p *proc.Process) (*FleetSkew, error)
+}
+
+// skewRun adapts a SkewApp's RunSkew to proc.App, storing the attribution
+// in *out, so the reference run keeps proc.SafeRun's deadlock recovery.
+type skewRun struct {
+	SkewApp
+	out **FleetSkew
+}
+
+func (r skewRun) Run(p *proc.Process) (err error) {
+	*r.out, err = r.RunSkew(p)
+	return err
 }
 
 // CollectionCost is the total virtual time spent executing the application
@@ -164,13 +191,17 @@ func Run(app proc.App, cfg Config) (*Report, error) {
 
 	// Reference run: completely uninstrumented. Its device-op log is the
 	// only one a report keeps, and no run but stage 3 reads memory
-	// contents.
+	// contents. A SkewApp's reference run also yields its world's skew.
 	reference := func(context.Context) error {
 		sp := runSpan.Child(0, "stage", "reference")
 		defer sp.End()
 		p := cfg.Factory.NewMode(proc.OpLog)
 		p.Ctx.SetMetrics(mets)
-		if err := proc.SafeRun(app, p); err != nil {
+		run := app
+		if sa, ok := app.(SkewApp); ok {
+			run = skewRun{sa, &rep.skew}
+		}
+		if err := proc.SafeRun(run, p); err != nil {
 			return fmt.Errorf("ffm: uninstrumented run of %s: %w", app.Name(), err)
 		}
 		rep.UninstrumentedTime = p.ExecTime()

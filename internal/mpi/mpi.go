@@ -38,8 +38,8 @@ type RankProgram interface {
 }
 
 // NoObserved selects no observed rank: every rank's process is built from
-// the factory. Whole-world reference runs (fleet skew measurement, tests)
-// use this; FFM instrumentation always names a concrete observed rank.
+// the factory. Standalone whole-world runs (tests) use this; FFM
+// instrumentation always names a concrete observed rank.
 const NoObserved = -1
 
 // Config describes the launch.

@@ -59,11 +59,10 @@ type Queue struct {
 	wg          sync.WaitGroup
 
 	// pending counts accepted tasks not yet picked up by a worker —
-	// the queue depth. An atomic add on enqueue and sub on dequeue keeps
-	// the count (and the gauge fed from it) transactional: the former
-	// len(chan)-snapshot scheme let a worker's post-dequeue snapshot
-	// overwrite a newer value published by a concurrent TryEnqueue,
-	// leaving the gauge stale until the next event.
+	// the queue depth. Enqueue and dequeue both move it and publish it to
+	// the gauge under mu, so the gauge's last write is always the current
+	// count; a write of an older count landing after a newer one would
+	// leave the gauge stale after a drain.
 	pending atomic.Int64
 
 	mu     sync.Mutex
@@ -163,7 +162,9 @@ func (q *Queue) worker() {
 				t = bt
 			}
 		}
+		q.mu.Lock()
 		q.depth.Set(float64(q.pending.Add(-1)))
+		q.mu.Unlock()
 		if h := q.hookDequeued; h != nil {
 			h(t)
 		}
