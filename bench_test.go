@@ -720,11 +720,11 @@ func BenchmarkFleetAMGHit(b *testing.B) {
 // --- Fleet at scale: the streaming reduction's memory profile -----------------
 
 // fleetBenchOutcome fabricates one rank's pipeline outcome directly, so the
-// at-scale benchmarks measure the reduction — fold, adjacent merges, assembly —
-// rather than 1024 whole-world simulations. The shape mirrors a real fleet:
-// a handful of digests shared by every rank (the cross-rank duplicates the
-// report exists to find), two digests unique to the rank (carried to assembly,
-// then dropped), and a small per-rank problem overview.
+// at-scale benchmarks measure the reduction — fold, in-batch merges, ordered
+// assembly — rather than 1024 whole-world simulations. The shape mirrors a
+// real fleet: a handful of digests shared by every rank (the cross-rank
+// duplicates the report exists to find), two digests unique to the rank
+// (carried to assembly, then dropped), and a small per-rank problem overview.
 func fleetBenchOutcome(rank int) ffm.RankOutcome {
 	run := &trace.Run{App: "fleet-bench", ExecTime: simtime.Duration(1) * simtime.Second}
 	var seq int64

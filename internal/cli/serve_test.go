@@ -73,7 +73,7 @@ func startServe(t *testing.T, extraArgs ...string) (string, func() error) {
 		select {
 		case err := <-errCh:
 			return err
-		case <-time.After(60 * time.Second):
+		case <-time.After(hangWait(t, 60*time.Second)):
 			t.Fatal("serve did not exit after cancel")
 			return nil
 		}
@@ -232,4 +232,16 @@ func TestUsageMentionsServeAndVersion(t *testing.T) {
 			t.Errorf("usage still mentions %q", gone)
 		}
 	}
+}
+
+// hangWait is how long a hang watchdog waits before failing the test:
+// until shortly before the test binary's deadline, so a slow host is
+// never mistaken for a hang, or fallback when the test has no deadline.
+func hangWait(t *testing.T, fallback time.Duration) time.Duration {
+	if d, ok := t.Deadline(); ok {
+		if w := time.Until(d) - 5*time.Second; w > 0 {
+			return w
+		}
+	}
+	return fallback
 }

@@ -145,6 +145,13 @@ type cacheEntry struct {
 	// (i.e. completed) entries, so in-flight work keeps its dedup entry.
 	cost      int64
 	accounted bool
+
+	// estimate memoizes AddressedEstimate of a completed report entry, so
+	// a Table 1 hit reads it instead of re-deriving the static sequences.
+	// It is evicted with the report.
+	estOnce sync.Once
+	est     simtime.Duration
+	estErr  error
 }
 
 // NewReportCache returns an empty, unbounded cache.
@@ -299,6 +306,21 @@ func (c *ReportCache) completedReport(key string) *ffm.Report {
 	}
 	rep, _ := e.val.(*ffm.Report)
 	return rep
+}
+
+// addressedEstimate returns AddressedEstimate(app, rep), computed at most
+// once while rep is the completed report memoized under key. Any other
+// report is estimated afresh. It books neither a hit nor a miss.
+func (c *ReportCache) addressedEstimate(key, app string, rep *ffm.Report) (simtime.Duration, error) {
+	c.mu.Lock()
+	e, ok := c.entries["report/"+key]
+	ok = ok && e.accounted && e.val == any(rep)
+	c.mu.Unlock()
+	if !ok {
+		return AddressedEstimate(app, rep)
+	}
+	e.estOnce.Do(func() { e.est, e.estErr = AddressedEstimate(app, rep) })
+	return e.est, e.estErr
 }
 
 // runtimeEntryCost is the nominal budget charge for a memoized duration —

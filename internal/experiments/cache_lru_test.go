@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"diogenes/internal/apps"
 	"diogenes/internal/ffm"
 	"diogenes/internal/hashstore"
 	"diogenes/internal/obs"
@@ -237,5 +238,54 @@ func TestCachedReportResolvedAndShareable(t *testing.T) {
 		if !bytes.Equal(docs[i], docs[0]) {
 			t.Fatalf("reader %d rendered a different document", i)
 		}
+	}
+}
+
+// TestTable1HitReusesEstimate checks that a warm Table1For reads the
+// addressed estimate memoized with the cached report instead of deriving
+// it again, that the memo gives the derived value, and that it is tied to
+// that very report: any other report is estimated afresh.
+func TestTable1HitReusesEstimate(t *testing.T) {
+	const app, scale = "cumf_als", 0.05
+	eng := NewEngine(1)
+	row, err := eng.Table1For(app, scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := eng.RunApp(app, scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := AddressedEstimate(app, rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row.Estimated != want {
+		t.Fatalf("Table1For estimate %v, derived %v", row.Estimated, want)
+	}
+	derive := testing.AllocsPerRun(3, func() { _, _ = AddressedEstimate(app, rep) })
+	warm := testing.AllocsPerRun(3, func() { _, _ = eng.Table1For(app, scale) })
+	if warm >= derive {
+		t.Fatalf("warm Table1For allocates %v, deriving the estimate alone %v: the estimate was derived again", warm, derive)
+	}
+
+	spec, err := apps.ByName(app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, ok := CacheKey(app, scale, apps.Original, eng.config(spec.Factory()))
+	if !ok {
+		t.Fatal("default config is not cacheable")
+	}
+	other, err := eng.RunApp("rodinia_gaussian", scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantOther, err := AddressedEstimate("rodinia_gaussian", other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := eng.Cache.addressedEstimate(key, "rodinia_gaussian", other); err != nil || got != wantOther {
+		t.Fatalf("estimate of a report not held under the key = %v, %v; want %v", got, err, wantOther)
 	}
 }

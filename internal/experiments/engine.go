@@ -41,15 +41,9 @@ type Engine struct {
 	// wall time, not virtual time — it paces the retry, never the model.
 	FleetBackoff time.Duration
 
-	// fleetBatch is how many contiguous ranks one fleet reduction task
-	// folds before offering its partial to the accumulator. 0 picks a
-	// width-aware default (at least four batches per worker); tests set
-	// it to force merge-tree shapes. The fleet document is byte-identical
-	// at every batch size.
-	fleetBatch int
-	// fleetAcc publishes the current fleet reduction's accumulator so
-	// FleetProgress can stream its counters while ranks are running.
-	fleetAcc atomic.Pointer[ffm.FleetAccumulator]
+	// fleetRun publishes the current fleet reduction's counters so
+	// FleetProgress can stream them while ranks are running.
+	fleetRun atomic.Pointer[fleetCounters]
 }
 
 // SetObserver attaches an observer to the engine (nil detaches), wiring it
@@ -193,7 +187,9 @@ func (e *Engine) uninstrumented(spec apps.Spec, scale float64, v apps.Variant, c
 // Table1For computes one application's Table 1 row through the engine. The
 // row's original runtime is the pipeline's reference run; on a parallel
 // engine the pipeline and the fixed build's uninstrumented run proceed
-// concurrently, and the row is assembled from both once they finish.
+// concurrently, and the row is assembled from both once they finish. The
+// addressed estimate is memoized with the cached report, so a warm engine
+// re-derives nothing.
 func (e *Engine) Table1For(name string, scale float64) (*Table1Row, error) {
 	spec, err := apps.ByName(name)
 	if err != nil {
@@ -202,6 +198,7 @@ func (e *Engine) Table1For(name string, scale float64) (*Table1Row, error) {
 	var (
 		rep   *ffm.Report
 		fixed simtime.Duration
+		cfg   = e.config(spec.Factory())
 	)
 	pipeline := func(context.Context) error {
 		var err error
@@ -210,13 +207,18 @@ func (e *Engine) Table1For(name string, scale float64) (*Table1Row, error) {
 	}
 	reduction := func(context.Context) error {
 		var err error
-		fixed, err = e.uninstrumented(spec, scale, apps.Fixed, e.config(spec.Factory()))
+		fixed, err = e.uninstrumented(spec, scale, apps.Fixed, cfg)
 		return err
 	}
 	if err := sched.GoMetrics(context.Background(), e.stageWidth(), e.Obs.Metrics(), pipeline, reduction); err != nil {
 		return nil, err
 	}
-	est, err := AddressedEstimate(name, rep)
+	var est simtime.Duration
+	if key, ok := CacheKey(name, scale, apps.Original, cfg); ok && e.Cache != nil {
+		est, err = e.Cache.addressedEstimate(key, name, rep)
+	} else {
+		est, err = AddressedEstimate(name, rep)
+	}
 	if err != nil {
 		return nil, err
 	}

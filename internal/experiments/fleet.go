@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"diogenes/internal/apps"
@@ -33,12 +34,12 @@ func FleetRankID(app string, rank, ranks int) string {
 // collective-skew attribution from the whole world that the lowest-ranked
 // completed pipeline's reference run simulated.
 //
-// Aggregation streams: each rank's outcome folds into a running
-// ffm.FleetAccumulator the moment the rank finishes, releasing the rank's
-// full report immediately, and partials over adjacent rank ranges merge
-// on the same worker pool — peak memory is O(aggregate state), not
+// Aggregation streams: each rank's outcome folds into its batch's partial
+// the moment the rank finishes, releasing the rank's full report
+// immediately, and the batch partials are assembled in rank order once
+// every batch is done — peak memory is O(aggregate state), not
 // O(ranks × report), and the assembled document is byte-identical at
-// every worker count and batch size.
+// every worker count.
 //
 // Fault containment: a rank whose pipeline fails (error or panic) is
 // retried once after a short backoff; if the retry also fails the rank is
@@ -96,11 +97,12 @@ func (e *Engine) FleetOver(app string, newProg func(observed int) mpi.RankProgra
 // FleetReduce runs the streaming fleet reduction over caller-supplied
 // rank outcomes instead of live pipelines: outcome is invoked once per
 // rank (concurrently, in rank batches on the engine's pool) and its
-// result folds into the accumulator immediately. It is the entry point
-// for driving the reduction at widths where executing real pipelines is
-// beside the point — the scale benchmarks prove flat allocated-bytes-
-// per-rank with it — and for replaying recorded outcomes. The skew
-// attribution comes from the outcomes' reports, like a live launch's.
+// result folds into its batch's partial immediately. It is the entry
+// point for driving the reduction at widths where executing real
+// pipelines is beside the point — the scale benchmarks prove flat
+// allocated-bytes-per-rank with it — and for replaying recorded
+// outcomes. The skew attribution comes from the outcomes' reports, like
+// a live launch's.
 func (e *Engine) FleetReduce(app string, ranks int, outcome func(rank int) ffm.RankOutcome) (*ffm.FleetReport, error) {
 	return e.fleetReduce(context.Background(), app, ranks,
 		func(_ context.Context, r int) ffm.RankOutcome { return outcome(r) })
@@ -116,10 +118,11 @@ func (e *Engine) fleet(ctx context.Context, app string, newProg func(int) mpi.Ra
 		})
 }
 
-// fleetReduce is the shared streaming reduction: contiguous rank batches
-// run as pool tasks, each folding its ranks into one partial and offering
-// it to the accumulator, whose adjacent-range merges execute on the same
-// workers.
+// fleetReduce is the one fleet reduction path: contiguous rank batches
+// run as pool tasks, each folding its ranks with ffm.FoldRankOutcome as
+// they finish and merging them into its own slot of parts; after the
+// pool drains, ffm.AssembleFleet absorbs the slots in rank order. At most
+// one partial per batch is ever resident.
 func (e *Engine) fleetReduce(ctx context.Context, app string, ranks int, outcome func(ctx context.Context, rank int) ffm.RankOutcome) (*ffm.FleetReport, error) {
 	if ranks < 1 {
 		return nil, fmt.Errorf("experiments: fleet over %d ranks, need at least 1", ranks)
@@ -128,34 +131,31 @@ func (e *Engine) fleetReduce(ctx context.Context, app string, ranks int, outcome
 	if err != nil {
 		return nil, err
 	}
-	acc := ffm.NewFleetAccumulator(ranks)
-	e.fleetAcc.Store(acc)
-	batch := e.fleetBatchSize(ranks, pool.Workers())
-	tasks := make([]sched.Task, 0, (ranks+batch-1)/batch)
-	for lo := 0; lo < ranks; lo += batch {
-		lo, hi := lo, lo+batch
-		if hi > ranks {
-			hi = ranks
-		}
-		tasks = append(tasks, sched.Task{
+	c := &fleetCounters{ranks: ranks}
+	e.fleetRun.Store(c)
+	batch := fleetBatchSize(ranks, pool.Workers())
+	parts := make([]*ffm.FleetPartial, (ranks+batch-1)/batch)
+	tasks := make([]sched.Task, len(parts))
+	for i := range parts {
+		lo, hi := i*batch, min((i+1)*batch, ranks)
+		tasks[i] = sched.Task{
 			Name: fmt.Sprintf("fleet/%s/ranks%d-%d", app, lo, hi),
 			Fn: func(ctx context.Context) error {
 				// Containment: a failed rank degrades the report; it must
-				// never fail — or first-error-cancel — the launch. Only
-				// accumulator faults (broken adjacency) error.
-				var part *ffm.FleetPartial
+				// never fail — or first-error-cancel — the launch. Only a
+				// broken adjacency errors.
 				for r := lo; r < hi; r++ {
 					leaf := ffm.FoldRankOutcome(outcome(ctx, r))
-					acc.RankDone()
-					merged, err := ffm.Merge(part, leaf)
+					c.ranksDone.Add(1)
+					part, err := ffm.Merge(parts[i], leaf)
 					if err != nil {
 						return err
 					}
-					part = merged
+					parts[i] = part
 				}
-				return acc.Offer(part)
+				return nil
 			},
-		})
+		}
 	}
 	if _, err := pool.Run(ctx, tasks...); err != nil {
 		return nil, err
@@ -163,40 +163,37 @@ func (e *Engine) fleetReduce(ctx context.Context, app string, ranks int, outcome
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("experiments: fleet canceled: %w", err)
 	}
-	return acc.Finalize(app)
+	return ffm.AssembleFleet(app, ranks, parts, func() { c.merges.Add(1) })
 }
 
-// fleetBatchSize resolves how many contiguous ranks one reduction task
-// folds. The default keeps at least four batches per worker in flight so
-// small worlds still parallelize, while large worlds amortize task and
-// merge overhead; fleetBatch overrides it.
-func (e *Engine) fleetBatchSize(ranks, workers int) int {
-	b := e.fleetBatch
-	if b <= 0 {
-		if workers < 1 {
-			workers = 1
-		}
-		b = ranks / (workers * 4)
-	}
-	if b < 1 {
-		b = 1
-	}
-	if b > ranks {
-		b = ranks
-	}
-	return b
+// fleetBatchSize is how many contiguous ranks one reduction task folds
+// on a pool of the given width (at least 1): at least four batches per
+// worker in flight so small worlds still parallelize, while large worlds
+// amortize task and assembly overhead.
+func fleetBatchSize(ranks, workers int) int {
+	return max(1, ranks/(workers*4))
 }
 
-// FleetProgress reports the live accumulator counters of the engine's
-// current (or most recent) fleet reduction: ranks folded and partial
-// merges. ok is false before the first fleet run. The serving
-// layer polls it to stream fleet job progress.
+// fleetCounters is the live progress of one fleet reduction.
+type fleetCounters struct {
+	ranks             int
+	ranksDone, merges atomic.Int64
+}
+
+// FleetProgress reports the counters of the engine's current (or most
+// recent) fleet reduction: ranks folded so far and batch partials
+// absorbed at assembly. ok is false before the first fleet run. The
+// serving layer polls it to stream fleet job progress.
 func (e *Engine) FleetProgress() (ffm.FleetProgress, bool) {
-	acc := e.fleetAcc.Load()
-	if acc == nil {
+	c := e.fleetRun.Load()
+	if c == nil {
 		return ffm.FleetProgress{}, false
 	}
-	return acc.Progress(), true
+	return ffm.FleetProgress{
+		RanksDone:  int(c.ranksDone.Load()),
+		RanksTotal: c.ranks,
+		Merges:     int(c.merges.Load()),
+	}, true
 }
 
 // fleetRank runs one rank's pipeline with containment: panics become

@@ -29,34 +29,31 @@ func skewedConfig(ranks int) mpi.Config {
 	}
 }
 
-// streamShape is one engine configuration of the streaming reduction:
-// pool width and ranks per reduction task (0 = the width-aware default).
-type streamShape struct{ workers, batch int }
-
-// streamGolden asserts every (workers, batch) shape produces
-// byte-identical fleet documents at the given width, and checks them
-// against a committed golden file.
-func streamGolden(t *testing.T, ranks int, goldenName string, shapes []streamShape) {
+// streamGolden asserts every engine width produces byte-identical fleet
+// documents at the given world size, each width cutting the ranks into
+// its own batches, and checks them against a committed golden file.
+func streamGolden(t *testing.T, ranks int, goldenName string, widths []int) {
 	t.Helper()
 	var want []byte
-	for _, c := range shapes {
-		eng := NewEngine(c.workers)
-		eng.fleetBatch = c.batch
+	for _, w := range widths {
+		eng := NewEngine(w)
 		newProg := func(int) mpi.RankProgram { return &skewedRanks{steps: 1} }
 		fr, err := eng.FleetOver("skewed-ranks", newProg, skewedConfig(ranks))
 		if err != nil {
-			t.Fatalf("workers=%d batch=%d: %v", c.workers, c.batch, err)
+			t.Fatalf("workers=%d: %v", w, err)
 		}
 		got := fleetJSON(t, fr)
 		if want == nil {
 			want = got
 		} else if !bytes.Equal(got, want) {
-			t.Fatalf("workers=%d batch=%d: fleet report differs (%d vs %d bytes)",
-				c.workers, c.batch, len(got), len(want))
+			t.Fatalf("workers=%d: fleet report differs (%d vs %d bytes)", w, len(got), len(want))
 		}
+		batch := fleetBatchSize(ranks, w)
+		wantMerges := (ranks+batch-1)/batch - 1
 		p, ok := eng.FleetProgress()
-		if !ok || p.RanksDone != ranks || p.RanksTotal != ranks {
-			t.Fatalf("workers=%d: progress %+v ok=%v, want %d/%d", c.workers, p, ok, ranks, ranks)
+		if !ok || p.RanksDone != ranks || p.RanksTotal != ranks || p.Merges != wantMerges {
+			t.Fatalf("workers=%d batch=%d: progress %+v ok=%v, want %d/%d ranks and %d merges",
+				w, batch, p, ok, ranks, ranks, wantMerges)
 		}
 	}
 
@@ -78,30 +75,20 @@ func streamGolden(t *testing.T, ranks int, goldenName string, shapes []streamSha
 }
 
 // TestFleetStreamDeterministic64 is the width-invariance claim at 64
-// ranks: serial, 4-way and 8-way engines with unit, odd and default
-// batch sizes all produce the same bytes.
+// ranks: widths 1, 3, 4 and 8 cut the world into batches of 16, 5, 4 and
+// 2 ranks — width 3 leaves a ragged last batch — and all produce the same
+// bytes.
 func TestFleetStreamDeterministic64(t *testing.T) {
-	streamGolden(t, 64, "fleet_stream64.golden.json", []streamShape{
-		{workers: 1},
-		{workers: 4},
-		{workers: 8},
-		{workers: 4, batch: 1},
-		{workers: 8, batch: 7},
-	})
+	streamGolden(t, 64, "fleet_stream64.golden.json", []int{1, 3, 4, 8})
 }
 
-// TestFleetStreamDeterministic256 repeats the claim at 256 ranks — wide
-// enough that the default batching produces a real merge tree — with an
-// odd batch width that leaves a ragged last task in the mix.
+// TestFleetStreamDeterministic256 repeats the claim at 256 ranks, where
+// width 3's batches of 21 again leave a ragged last batch.
 func TestFleetStreamDeterministic256(t *testing.T) {
 	if testing.Short() {
 		t.Skip("256-rank world simulation in -short mode")
 	}
-	streamGolden(t, 256, "fleet_stream256.golden.json", []streamShape{
-		{workers: 1},
-		{workers: 8},
-		{workers: 8, batch: 5},
-	})
+	streamGolden(t, 256, "fleet_stream256.golden.json", []int{1, 3, 8})
 }
 
 // TestFleetStreamFaultMidTree injects a failure into a rank in the middle
@@ -171,7 +158,7 @@ func TestFleetCancelSkipsBackoff(t *testing.T) {
 
 // TestFleetReduceSynthetic drives the public reduction entry point over
 // fabricated outcomes — the benchmark path — and cross-checks it against
-// AggregateFleet.
+// AssembleFleet over one leaf per rank.
 func TestFleetReduceSynthetic(t *testing.T) {
 	const ranks = 128
 	gen := func(rank int) ffm.RankOutcome {
@@ -182,13 +169,16 @@ func TestFleetReduceSynthetic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outcomes := make([]ffm.RankOutcome, ranks)
-	for r := range outcomes {
-		outcomes[r] = gen(r)
+	leaves := make([]*ffm.FleetPartial, ranks)
+	for r := range leaves {
+		leaves[r] = ffm.FoldRankOutcome(gen(r))
 	}
-	want := ffm.AggregateFleet("synthetic", ranks, outcomes)
+	want, err := ffm.AssembleFleet("synthetic", ranks, leaves, func() {})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !bytes.Equal(fleetJSON(t, fr), fleetJSON(t, want)) {
-		t.Fatal("FleetReduce differs from AggregateFleet")
+		t.Fatal("FleetReduce differs from AssembleFleet over per-rank leaves")
 	}
 	if len(fr.FailedRanks) != ranks {
 		t.Fatalf("failed ranks = %d, want %d", len(fr.FailedRanks), ranks)

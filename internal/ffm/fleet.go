@@ -21,7 +21,7 @@ type RankOutcome struct {
 	// FromCache marks a first attempt served by the report cache.
 	FromCache bool `json:"fromCache,omitempty"`
 
-	// Summary fields filled from Report by AggregateFleet.
+	// Summary fields filled from Report by FoldRankOutcome.
 	ExecTime     simtime.Duration `json:"execTime,omitempty"`
 	TotalBenefit simtime.Duration `json:"totalBenefit,omitempty"`
 	Problems     int              `json:"problems,omitempty"`
@@ -125,34 +125,6 @@ type FleetReport struct {
 	CrossRankDupBytes int64          `json:"crossRankDupBytes"`
 	Problems          []FleetProblem `json:"problems"`
 	Skew              *FleetSkew     `json:"skew,omitempty"`
-}
-
-// AggregateFleet merges per-rank pipeline outcomes into one fleet report:
-// duplicate transfers are deduplicated across ranks by payload digest,
-// problem groups are summed with min/max rank attribution, and the skew
-// attribution comes from the lowest-ranked report that carries one.
-// outcomes must be indexed by rank.
-//
-// It is implemented as a sequential fold over the same FleetPartial
-// machinery the streaming reduction uses — one leaf per rank, absorbed in
-// rank order — so the collect-then-aggregate entry point and the
-// accumulator produce byte-identical documents by construction. Each
-// outcome's full Report is released as it is folded; the returned
-// report's PerRank entries carry the summaries only.
-func AggregateFleet(app string, ranks int, outcomes []RankOutcome) *FleetReport {
-	var root *FleetPartial
-	for i := range outcomes {
-		leaf := FoldRankOutcome(outcomes[i])
-		if root == nil {
-			root = leaf
-			continue
-		}
-		root.absorb(leaf)
-	}
-	if root == nil {
-		root = &FleetPartial{}
-	}
-	return root.assemble(app, ranks)
 }
 
 // TopProblem returns the highest-total aggregated problem, if any.

@@ -3,8 +3,6 @@ package ffm
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"diogenes/internal/hashstore"
 	"diogenes/internal/trace"
@@ -13,12 +11,12 @@ import (
 // This file is the streaming half of the fleet analysis: instead of
 // materializing every rank's full Report and aggregating at the end
 // (O(ranks × report) peak memory), each rank's outcome is folded into a
-// FleetPartial the moment the rank finishes — the full report is released
-// immediately — and partials over adjacent rank ranges merge pairwise
-// until one partial spans the whole world. The merge is associative and
-// keyed by rank range, never by completion order, so the assembled
-// FleetReport is byte-identical to the collect-then-aggregate output at
-// every worker count.
+// FleetPartial the moment the rank finishes, releasing the full report
+// immediately; the folds of each contiguous rank batch merge into one
+// partial, and AssembleFleet absorbs the batch partials in rank order.
+// The merge is associative and keyed by rank range, never by completion
+// order, so the assembled FleetReport is byte-identical at every worker
+// count and batch size.
 
 // FleetPartial is the cross-rank aggregation state for one contiguous
 // range of ranks [Lo, Hi): per-rank outcome summaries (reports already
@@ -28,7 +26,7 @@ import (
 // Dups deliberately keeps digests seen on only one rank: a digest that is
 // single-rank inside this range may become cross-rank when an adjacent
 // range carries it too. The single-rank leftovers are dropped only at
-// assembly time, exactly like AggregateFleet's final filter.
+// assembly time.
 type FleetPartial struct {
 	Lo, Hi int
 	// Analyzed counts ranks in the range that produced a report.
@@ -155,8 +153,8 @@ func Merge(a, b *FleetPartial) (*FleetPartial, error) {
 	return a, nil
 }
 
-// absorb extends a by b's state without range checking (Merge checks;
-// AggregateFleet feeds outcomes already in rank order).
+// absorb extends p by q's state without range checking (Merge and
+// AssembleFleet check adjacency first).
 func (p *FleetPartial) absorb(q *FleetPartial) {
 	p.Hi = q.Hi
 	p.Analyzed += q.Analyzed
@@ -238,126 +236,48 @@ func (p *FleetPartial) assemble(app string, ranks int) *FleetReport {
 	return fr
 }
 
+// AssembleFleet completes a fleet reduction: it absorbs the batch
+// partials left to right, calling merged after each absorb, and assembles
+// the fleet report. parts must tile [0, ranks) in rank order; a nil part,
+// an overlap, a gap or coverage short of ranks is refused with an error
+// naming the first rank not covered, so a canceled or faulted reduction
+// never yields a silently truncated report. Like Merge, it extends the
+// first part in place: parts must not be used afterwards.
+func AssembleFleet(app string, ranks int, parts []*FleetPartial, merged func()) (*FleetReport, error) {
+	var root *FleetPartial
+	next := 0
+	for i, p := range parts {
+		switch {
+		case p == nil:
+			return nil, fmt.Errorf("ffm: fleet reduction incomplete: part %d is missing, rank %d not covered", i, next)
+		case p.Lo > next:
+			return nil, fmt.Errorf("ffm: fleet reduction incomplete: rank %d not covered (next part spans [%d,%d))", next, p.Lo, p.Hi)
+		case p.Lo < next:
+			return nil, fmt.Errorf("ffm: fleet partial [%d,%d) overlaps ranks already covered up to %d", p.Lo, p.Hi, next)
+		}
+		if root == nil {
+			root = p
+		} else {
+			root.absorb(p)
+			merged()
+		}
+		next = p.Hi
+	}
+	if root == nil || next < ranks {
+		return nil, fmt.Errorf("ffm: fleet reduction incomplete: rank %d of %d not covered", next, ranks)
+	}
+	if next > ranks {
+		return nil, fmt.Errorf("ffm: fleet partials cover [0,%d), beyond the %d-rank world", next, ranks)
+	}
+	return root.assemble(app, ranks), nil
+}
+
 // FleetProgress is a live snapshot of one fleet reduction: how many ranks
-// have folded and how the merge tree is progressing. The serving layer
-// streams it on fleet job views so a 1024-rank job reports per-rank
+// have folded and how many batch partials have been absorbed. The serving
+// layer streams it on fleet job views so a 1024-rank job reports per-rank
 // progress instead of silence until the end.
 type FleetProgress struct {
 	RanksDone  int `json:"ranksDone"`
 	RanksTotal int `json:"ranksTotal"`
 	Merges     int `json:"merges"`
-}
-
-// FleetAccumulator is the concurrent fan-in point of the streaming fleet
-// reduction. Worker tasks offer partials over contiguous rank ranges in
-// whatever order they finish; the accumulator greedily merges each
-// offered partial with any parked neighbor covering the adjacent range
-// (merges run on the offering worker, outside the lock, so independent
-// regions of the rank space merge in parallel) and parks it otherwise.
-// Because merging is adjacency-keyed and associative, the finalized
-// report is identical for every completion order and worker count.
-type FleetAccumulator struct {
-	ranks int
-
-	mu      sync.Mutex
-	pending map[int]*FleetPartial // keyed by range start
-	byHi    map[int]int           // range end -> range start
-
-	ranksDone atomic.Int64
-	merges    atomic.Int64
-}
-
-// NewFleetAccumulator builds an accumulator for a world of the given size.
-func NewFleetAccumulator(ranks int) *FleetAccumulator {
-	return &FleetAccumulator{
-		ranks:   ranks,
-		pending: make(map[int]*FleetPartial),
-		byHi:    make(map[int]int),
-	}
-}
-
-// RankDone ticks the per-rank progress counter; callers folding ranks
-// into a batch partial call it once per folded rank.
-func (a *FleetAccumulator) RankDone() { a.ranksDone.Add(1) }
-
-// Add folds one rank outcome and offers it — the single-rank convenience
-// over FoldRankOutcome + RankDone + Offer.
-func (a *FleetAccumulator) Add(o RankOutcome) error {
-	p := FoldRankOutcome(o)
-	a.RankDone()
-	return a.Offer(p)
-}
-
-// Offer hands a partial to the reduction. It repeatedly merges with any
-// parked adjacent neighbor and parks the result once no neighbor is
-// waiting. Safe for concurrent use; the actual merging runs outside the
-// accumulator lock.
-func (a *FleetAccumulator) Offer(p *FleetPartial) error {
-	if p == nil {
-		return nil
-	}
-	for {
-		a.mu.Lock()
-		var left, right *FleetPartial
-		if lo, ok := a.byHi[p.Lo]; ok { // left neighbor ends where p begins
-			left, right = a.takeLocked(lo), p
-		} else if _, ok := a.pending[p.Hi]; ok { // right neighbor begins where p ends
-			left, right = p, a.takeLocked(p.Hi)
-		} else {
-			a.pending[p.Lo] = p
-			a.byHi[p.Hi] = p.Lo
-			a.mu.Unlock()
-			return nil
-		}
-		a.mu.Unlock()
-		merged, err := Merge(left, right)
-		if err != nil {
-			return err
-		}
-		a.merges.Add(1)
-		p = merged
-	}
-}
-
-// takeLocked removes and returns the parked range starting at lo.
-// a.mu must be held.
-func (a *FleetAccumulator) takeLocked(lo int) *FleetPartial {
-	p := a.pending[lo]
-	delete(a.pending, lo)
-	delete(a.byHi, p.Hi)
-	return p
-}
-
-// Progress snapshots the live counters. Safe to call concurrently with
-// Offer, including after Finalize.
-func (a *FleetAccumulator) Progress() FleetProgress {
-	return FleetProgress{
-		RanksDone:  int(a.ranksDone.Load()),
-		RanksTotal: a.ranks,
-		Merges:     int(a.merges.Load()),
-	}
-}
-
-// Finalize completes the reduction: exactly one partial spanning
-// [0, ranks) must be pending (every rank offered, every merge drained).
-// It assembles and returns the fleet report, whose skew attribution is
-// the merged partial's, releasing all accumulator state. A canceled or faulted reduction that left gaps returns an error
-// naming the missing ranks instead of a silently truncated report.
-func (a *FleetAccumulator) Finalize(app string) (*FleetReport, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if len(a.pending) != 1 {
-		covered := make([]string, 0, len(a.pending))
-		for lo, p := range a.pending {
-			covered = append(covered, fmt.Sprintf("[%d,%d)", lo, p.Hi))
-		}
-		sort.Strings(covered)
-		return nil, fmt.Errorf("ffm: fleet reduction incomplete: %d disjoint partials pending (%v), expected one spanning [0,%d)", len(a.pending), covered, a.ranks)
-	}
-	p, ok := a.pending[0]
-	if !ok || p.Hi != a.ranks {
-		return nil, fmt.Errorf("ffm: fleet reduction incomplete: pending partial does not span [0,%d)", a.ranks)
-	}
-	a.takeLocked(0)
-	return p.assemble(app, a.ranks), nil
 }

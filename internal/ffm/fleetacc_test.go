@@ -3,7 +3,7 @@ package ffm
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
+	"strings"
 	"testing"
 
 	"diogenes/internal/ffm/graph"
@@ -61,14 +61,6 @@ func synthOutcome(rank int) RankOutcome {
 	return RankOutcome{Rank: rank, Report: rep, Attempts: 1}
 }
 
-func synthOutcomes(ranks int) []RankOutcome {
-	out := make([]RankOutcome, ranks)
-	for r := range out {
-		out[r] = synthOutcome(r)
-	}
-	return out
-}
-
 func reportBytes(t *testing.T, fr *FleetReport) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -110,109 +102,70 @@ func TestMergeRequiresAdjacency(t *testing.T) {
 	}
 }
 
-// TestAccumulatorMatchesAggregate is the core equivalence claim: offering
-// single-rank folds in any completion order yields a report byte-identical
-// to AggregateFleet over the same outcomes. The orders are five random
-// permutations plus the worst case for parking — all evens, then all odds
-// — where nothing merges until the odds arrive.
-func TestAccumulatorMatchesAggregate(t *testing.T) {
+// cut folds ranks [0, ranks) into contiguous partials of size batch, the
+// last one ragged, merging each batch's folds in rank order.
+func cut(t *testing.T, ranks, batch int) []*FleetPartial {
+	t.Helper()
+	var parts []*FleetPartial
+	for lo := 0; lo < ranks; lo += batch {
+		var part *FleetPartial
+		for r := lo; r < min(lo+batch, ranks); r++ {
+			var err error
+			if part, err = Merge(part, FoldRankOutcome(synthOutcome(r))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		parts = append(parts, part)
+	}
+	return parts
+}
+
+// TestAssembleFleetCuts is the core equivalence claim: every contiguous
+// cut of the world assembles to the same bytes as one leaf per rank, and
+// AssembleFleet absorbs each part after the first exactly once.
+func TestAssembleFleetCuts(t *testing.T) {
 	const ranks = 97
-	want := reportBytes(t, AggregateFleet("synth", ranks, synthOutcomes(ranks)))
-	rng := rand.New(rand.NewSource(42))
-	var orders [][]int
-	for trial := 0; trial < 5; trial++ {
-		orders = append(orders, rng.Perm(ranks))
-	}
-	var evensThenOdds []int
-	for start := 0; start < 2; start++ {
-		for r := start; r < ranks; r += 2 {
-			evensThenOdds = append(evensThenOdds, r)
-		}
-	}
-	orders = append(orders, evensThenOdds)
-	for trial, order := range orders {
-		acc := NewFleetAccumulator(ranks)
-		for _, r := range order {
-			if err := acc.Add(synthOutcome(r)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		fr, err := acc.Finalize("synth")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := reportBytes(t, fr); !bytes.Equal(got, want) {
-			t.Fatalf("trial %d: streaming report differs from aggregate (%d vs %d bytes)", trial, len(got), len(want))
-		}
-		p := acc.Progress()
-		if p.RanksDone != ranks || p.RanksTotal != ranks {
-			t.Fatalf("progress %+v, want %d/%d ranks", p, ranks, ranks)
-		}
-		if p.Merges < ranks-1 {
-			t.Fatalf("merges = %d, want >= %d", p.Merges, ranks-1)
-		}
-	}
-}
-
-// TestAccumulatorBatchedOffers is the same equivalence under the engine's
-// real shape: contiguous batches of varying size folded locally, offered
-// in random completion order.
-func TestAccumulatorBatchedOffers(t *testing.T) {
-	const ranks = 64
-	want := reportBytes(t, AggregateFleet("synth", ranks, synthOutcomes(ranks)))
-	rng := rand.New(rand.NewSource(7))
-	for _, batch := range []int{1, 3, 16, 64} {
-		var parts []*FleetPartial
-		for lo := 0; lo < ranks; lo += batch {
-			hi := lo + batch
-			if hi > ranks {
-				hi = ranks
-			}
-			var part *FleetPartial
-			for r := lo; r < hi; r++ {
-				var err error
-				if part, err = Merge(part, FoldRankOutcome(synthOutcome(r))); err != nil {
-					t.Fatal(err)
-				}
-			}
-			parts = append(parts, part)
-		}
-		acc := NewFleetAccumulator(ranks)
-		for _, i := range rng.Perm(len(parts)) {
-			for r := 0; r < parts[i].Hi-parts[i].Lo; r++ {
-				acc.RankDone()
-			}
-			if err := acc.Offer(parts[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		fr, err := acc.Finalize("synth")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := reportBytes(t, fr); !bytes.Equal(got, want) {
-			t.Fatalf("batch=%d: streaming report differs from aggregate", batch)
-		}
-	}
-}
-
-// TestAccumulatorIncompleteFinalize: a reduction with missing ranks must
-// refuse to assemble rather than return a silently truncated report.
-func TestAccumulatorIncompleteFinalize(t *testing.T) {
-	acc := NewFleetAccumulator(8)
-	for r := 0; r < 4; r++ {
-		if err := acc.Add(synthOutcome(r)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := acc.Finalize("synth"); err == nil {
-		t.Fatal("finalize accepted a reduction missing ranks 4-7")
-	}
-	acc2 := NewFleetAccumulator(8)
-	if err := acc2.Offer(FoldRankOutcome(synthOutcome(2))); err != nil {
+	want, err := AssembleFleet("synth", ranks, cut(t, ranks, 1), func() {})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := acc2.Finalize("synth"); err == nil {
-		t.Fatal("finalize accepted a single partial not starting at rank 0")
+	for _, batch := range []int{1, 3, 16, 64, 97} {
+		parts := cut(t, ranks, batch)
+		merges := 0
+		fr, err := AssembleFleet("synth", ranks, parts, func() { merges++ })
+		if err != nil {
+			t.Fatalf("batch=%d: %v", batch, err)
+		}
+		if !bytes.Equal(reportBytes(t, fr), reportBytes(t, want)) {
+			t.Fatalf("batch=%d: assembled report differs from the per-rank fold", batch)
+		}
+		if merges != len(parts)-1 {
+			t.Fatalf("batch=%d: %d merges, want %d", batch, merges, len(parts)-1)
+		}
+	}
+}
+
+// TestAssembleFleetRefusesGaps: a reduction that does not tile the world
+// must refuse to assemble, naming the first rank not covered, rather than
+// return a silently truncated report.
+func TestAssembleFleetRefusesGaps(t *testing.T) {
+	const ranks = 8
+	// AssembleFleet absorbs into its first part, so each case cuts afresh:
+	// [0,2) [2,4) [4,6) [6,8).
+	for _, c := range []struct {
+		name string
+		pick func(p []*FleetPartial) []*FleetPartial
+		want string
+	}{
+		{"missing tail", func(p []*FleetPartial) []*FleetPartial { return p[:3] }, "rank 6 of 8 not covered"},
+		{"gap", func(p []*FleetPartial) []*FleetPartial { return []*FleetPartial{p[0], p[2], p[3]} }, "rank 2 not covered"},
+		{"nil part", func(p []*FleetPartial) []*FleetPartial { return []*FleetPartial{p[0], nil, p[2], p[3]} }, "rank 2 not covered"},
+		{"overlap", func(p []*FleetPartial) []*FleetPartial { return []*FleetPartial{p[0], p[1], p[1]} }, "overlaps"},
+		{"no parts", func([]*FleetPartial) []*FleetPartial { return nil }, "rank 0 of 8 not covered"},
+	} {
+		_, err := AssembleFleet("synth", ranks, c.pick(cut(t, ranks, 2)), func() {})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one containing %q", c.name, err, c.want)
+		}
 	}
 }

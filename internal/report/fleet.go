@@ -81,7 +81,7 @@ func FleetTable(w io.Writer, fr *ffm.FleetReport) error {
 	fmt.Fprintf(w, "\nCollective skew attribution\n")
 	switch {
 	case fr.Skew == nil:
-		fmt.Fprintf(w, "  unavailable (whole-world reference run failed)\n")
+		fmt.Fprintf(w, "  unavailable (no rank pipeline completed)\n")
 	case fr.Skew.TotalWait == 0:
 		fmt.Fprintf(w, "  balanced world: no rank waited at any barrier\n")
 	default:

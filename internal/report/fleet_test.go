@@ -47,7 +47,7 @@ func TestFleetTablePartial(t *testing.T) {
 		"FAILED",
 		"retried",
 		"cudaMemcpyAsync",
-		"unavailable (whole-world reference run failed)",
+		"unavailable (no rank pipeline completed)",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("partial fleet table missing %q\n%s", want, out)

@@ -28,7 +28,7 @@ import (
 //
 // A job already finished (including store-served) yields the terminal
 // frame immediately. Progress derives from the same obs span trace and
-// fleet accumulator counters the poll endpoint reads — streaming adds a
+// fleet reduction counters the poll endpoint reads — streaming adds a
 // push path, not a second source of truth.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")

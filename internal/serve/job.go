@@ -176,7 +176,7 @@ type Job struct {
 	timeout  time.Duration
 	storeKey string
 	// fleetProgress, set for fleet jobs, reads the engine's live
-	// accumulator counters so views stream per-rank reduction progress.
+	// reduction counters so views stream per-rank reduction progress.
 	fleetProgress func() (ffm.FleetProgress, bool)
 
 	mu        sync.Mutex
@@ -315,8 +315,8 @@ type View struct {
 	CurrentSpan string `json:"currentSpan,omitempty"`
 
 	// Fleet is the streaming-reduction progress of a fleet job: ranks
-	// folded so far and partial merges, straight from the accumulator
-	// counters — live while the job runs, final
+	// folded so far and batch partials absorbed, straight from the
+	// engine's reduction counters — live while the job runs, final
 	// afterwards. Absent for other kinds and for store-served fleet jobs
 	// (no reduction ran).
 	Fleet *ffm.FleetProgress `json:"fleet,omitempty"`

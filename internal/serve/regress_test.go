@@ -180,7 +180,7 @@ func TestServeInteractivePreemptsBatchBacklog(t *testing.T) {
 	for _, j := range []*Job{blocker, b1, b2, inter} {
 		select {
 		case <-j.Done():
-		case <-time.After(30 * time.Second):
+		case <-time.After(hangWait(t, 30*time.Second)):
 			t.Fatalf("job %s never finished", j.ID)
 		}
 	}

@@ -268,7 +268,7 @@ func (s *Server) Submit(req Request) (*Job, error) {
 	j := newJob(req, jobObs, key, timeout)
 	if req.Kind == KindFleet {
 		// Fleet jobs stream reduction progress straight from the
-		// engine's accumulator counters.
+		// engine's reduction counters.
 		j.fleetProgress = eng.FleetProgress
 	}
 

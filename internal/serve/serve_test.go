@@ -342,7 +342,7 @@ func TestCancelRunningJob(t *testing.T) {
 	close(release)
 	select {
 	case <-j.Done():
-	case <-time.After(30 * time.Second):
+	case <-time.After(hangWait(t, 30*time.Second)):
 		t.Fatal("canceled job never terminal")
 	}
 	if st := j.State(); st != StateCanceled {
@@ -365,7 +365,7 @@ func TestJobTimeout(t *testing.T) {
 	}
 	select {
 	case <-j.Done():
-	case <-time.After(30 * time.Second):
+	case <-time.After(hangWait(t, 30*time.Second)):
 		t.Fatal("timed-out job never terminal")
 	}
 	v := j.View()
@@ -518,4 +518,16 @@ func TestSingleNodeJobIDsUnqualified(t *testing.T) {
 	if got, want := strings.Join(keys, ","), "accepting,jobs,queueCapacity,queueDepth,status"; got != want {
 		t.Fatalf("/healthz keys %s, want %s", got, want)
 	}
+}
+
+// hangWait is how long a hang watchdog waits before failing the test:
+// until shortly before the test binary's deadline, so a slow host is
+// never mistaken for a hang, or fallback when the test has no deadline.
+func hangWait(t *testing.T, fallback time.Duration) time.Duration {
+	if d, ok := t.Deadline(); ok {
+		if w := time.Until(d) - 5*time.Second; w > 0 {
+			return w
+		}
+	}
+	return fallback
 }
