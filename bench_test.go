@@ -28,6 +28,7 @@ import (
 	"diogenes/internal/hashstore"
 	"diogenes/internal/interpose"
 	"diogenes/internal/ledger"
+	"diogenes/internal/memory"
 	"diogenes/internal/obs"
 	"diogenes/internal/profiler"
 	"diogenes/internal/serve"
@@ -328,15 +329,48 @@ func BenchmarkSyncDiscovery(b *testing.B) {
 
 // --- Micro-benchmarks on the core data structures ---------------------------
 
+// BenchmarkHashStoreInsert inserts a 64 KiB transfer payload read from
+// simulated memory, the way stage 3 sees it: from a source rewritten before
+// every read (a sha256 per insert), from an unchanged source (the dense
+// memo), and from a never-written source (the uniform memo).
 func BenchmarkHashStoreInsert(b *testing.B) {
-	payload := make([]byte, 64<<10)
+	const n = 64 << 10
+	payload := make([]byte, n)
 	simtime.NewRNG(1).Bytes(payload)
-	s := hashstore.New()
-	b.SetBytes(int64(len(payload)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		payload[0] = byte(i) // vary content
-		s.Insert(payload, int64(i))
+	for _, bc := range []struct {
+		name    string
+		rewrite bool
+		written bool
+	}{
+		{"rewritten", true, true},
+		{"unchanged", false, true},
+		{"uniform", false, false},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			sp := memory.NewSpace()
+			src := sp.Alloc(n, "payload")
+			if bc.written {
+				if err := sp.Poke(src.Base(), payload); err != nil {
+					b.Fatal(err)
+				}
+			}
+			s := hashstore.New()
+			b.SetBytes(n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if bc.rewrite {
+					payload[0] = byte(i) // vary content
+					if err := sp.Poke(src.Base(), payload[:1]); err != nil {
+						b.Fatal(err)
+					}
+				}
+				v, err := sp.View(src.Base(), n)
+				if err != nil {
+					b.Fatal(err)
+				}
+				s.Insert(v, int64(i))
+			}
+		})
 	}
 }
 

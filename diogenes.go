@@ -93,10 +93,6 @@ func DefaultFactory() Factory { return proc.DefaultFactory() }
 // configuration.
 func Run(app App) (*Report, error) { return ffm.Run(app, DefaultConfig()) }
 
-// RunWithConfig executes the pipeline with an explicit configuration (use
-// it to supply the machine model an application was built for).
-func RunWithConfig(app App, cfg Config) (*Report, error) { return ffm.Run(app, cfg) }
-
 // Workloads returns the four modelled applications of the paper's
 // evaluation (cumf_als, cuIBM, AMG, Rodinia gaussian) in Table 1 order.
 func Workloads() []Workload { return apps.Registry() }

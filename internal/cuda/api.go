@@ -118,17 +118,15 @@ func (c *Context) MemcpyH2D(dst gpu.DevPtr, src memory.Addr, n int) error {
 	call := c.beginCall(FuncMemcpy, KindTransfer)
 	defer c.endCall(call)
 	c.clock.Advance(c.cfg.MemcpySetupCost)
-	data, err := c.host.PeekView(src, n)
+	v, err := c.host.View(src, n)
 	if err != nil {
 		return err
 	}
-	if err := c.devWrite(c.devs[c.cur], dst, data, n); err != nil {
+	if err := c.devWrite(c.devs[c.cur], dst, c.viewBytes(v), n); err != nil {
 		return err
 	}
 	c.fillTransfer(call, DirH2D, n, src, n, dst, gpu.LegacyStream)
-	if c.capturePayloads {
-		call.Payload = data
-	}
+	c.capture(call, v)
 	op := c.devs[c.cur].EnqueueCopy(gpu.LegacyStream, gpu.OpCopyH2D, "memcpy HtoD", n)
 	c.reportOp(op)
 	c.touchInternal(FuncInternalEnqueue)
@@ -145,19 +143,17 @@ func (c *Context) MemcpyD2H(dst memory.Addr, src gpu.DevPtr, n int) error {
 	call := c.beginCall(FuncMemcpy, KindTransfer)
 	defer c.endCall(call)
 	c.clock.Advance(c.cfg.MemcpySetupCost)
-	data, err := c.devs[c.cur].DevReadView(src, n)
+	v, err := c.devs[c.cur].DevView(src, n)
 	if err != nil {
 		return err
 	}
 	c.fillTransfer(call, DirD2H, n, dst, n, src, gpu.LegacyStream)
-	if c.capturePayloads {
-		call.Payload = data
-	}
+	c.capture(call, v)
 	op := c.devs[c.cur].EnqueueCopy(gpu.LegacyStream, gpu.OpCopyD2H, "memcpy DtoH", n)
 	c.reportOp(op)
 	c.touchInternal(FuncInternalEnqueue)
 	c.internalSync(op.End, SyncImplicit, call)
-	return c.hostWrite(dst, data, n)
+	return c.hostWrite(dst, v, n)
 }
 
 // MemcpyD2D is a synchronous device-to-device copy.
@@ -168,11 +164,11 @@ func (c *Context) MemcpyD2D(dst, src gpu.DevPtr, n int) error {
 	call := c.beginCall(FuncMemcpy, KindTransfer)
 	defer c.endCall(call)
 	c.clock.Advance(c.cfg.MemcpySetupCost)
-	data, err := c.devs[c.cur].DevReadView(src, n)
+	v, err := c.devs[c.cur].DevView(src, n)
 	if err != nil {
 		return err
 	}
-	if err := c.devWrite(c.devs[c.cur], dst, data, n); err != nil {
+	if err := c.devWrite(c.devs[c.cur], dst, c.viewBytes(v), n); err != nil {
 		return err
 	}
 	call.Dir = DirD2D
@@ -194,17 +190,15 @@ func (c *Context) MemcpyAsyncH2D(dst gpu.DevPtr, src memory.Addr, n int, stream 
 	call := c.beginCall(FuncMemcpyAsync, KindTransfer)
 	defer c.endCall(call)
 	c.clock.Advance(c.cfg.MemcpySetupCost)
-	data, err := c.host.PeekView(src, n)
+	v, err := c.host.View(src, n)
 	if err != nil {
 		return err
 	}
-	if err := c.devWrite(c.devs[c.cur], dst, data, n); err != nil {
+	if err := c.devWrite(c.devs[c.cur], dst, c.viewBytes(v), n); err != nil {
 		return err
 	}
 	c.fillTransfer(call, DirH2D, n, src, n, dst, stream)
-	if c.capturePayloads {
-		call.Payload = data
-	}
+	c.capture(call, v)
 	op := c.devs[c.cur].EnqueueCopy(stream, gpu.OpCopyH2D, "memcpy HtoD async", n)
 	c.reportOp(op)
 	c.touchInternal(FuncInternalEnqueue)
@@ -223,21 +217,19 @@ func (c *Context) MemcpyAsyncD2H(dst memory.Addr, src gpu.DevPtr, n int, stream 
 	call := c.beginCall(FuncMemcpyAsync, KindTransfer)
 	defer c.endCall(call)
 	c.clock.Advance(c.cfg.MemcpySetupCost)
-	data, err := c.devs[c.cur].DevReadView(src, n)
+	v, err := c.devs[c.cur].DevView(src, n)
 	if err != nil {
 		return err
 	}
 	c.fillTransfer(call, DirD2H, n, dst, n, src, stream)
-	if c.capturePayloads {
-		call.Payload = data
-	}
+	c.capture(call, v)
 	op := c.devs[c.cur].EnqueueCopy(stream, gpu.OpCopyD2H, "memcpy DtoH async", n)
 	c.reportOp(op)
 	c.touchInternal(FuncInternalEnqueue)
 	if c.HostAttrOf(dst) != HostPinned {
 		c.internalSync(op.End, SyncConditional, call)
 	}
-	return c.hostWrite(dst, data, n)
+	return c.hostWrite(dst, v, n)
 }
 
 // MemsetDev fills device memory asynchronously on the legacy stream.
@@ -411,11 +403,11 @@ func (c *Context) MemcpyPeer(dstDev int, dst gpu.DevPtr, srcDev int, src gpu.Dev
 	if dstDev < 0 || dstDev >= len(c.devs) || srcDev < 0 || srcDev >= len(c.devs) {
 		return fmt.Errorf("cuda: MemcpyPeer devices %d->%d with %d devices", srcDev, dstDev, len(c.devs))
 	}
-	data, err := c.devs[srcDev].DevReadView(src, n)
+	v, err := c.devs[srcDev].DevView(src, n)
 	if err != nil {
 		return err
 	}
-	if err := c.devWrite(c.devs[dstDev], dst, data, n); err != nil {
+	if err := c.devWrite(c.devs[dstDev], dst, c.viewBytes(v), n); err != nil {
 		return err
 	}
 	call.Dir = DirD2D

@@ -176,6 +176,11 @@ type Context struct {
 	// scratch holds the bytes of a KernelWrite between generating them and
 	// DevWrite copying them into device memory.
 	scratch []byte
+	// fillBuf is every byte fillVal: the source bytes of a transfer whose
+	// source view is uniform, grown on demand and refilled only when the
+	// fill value changes.
+	fillBuf []byte
+	fillVal byte
 
 	// overheadLedger accumulates all virtual time charged by
 	// instrumentation (probe trampolines, hashing, load/store snippets).
@@ -257,9 +262,9 @@ func (c *Context) SetMetrics(m *obs.Registry) {
 	c.mProbeCharge = m.Counter("cuda/probe_overhead_ns")
 }
 
-// SetPayloadCapture enables copying transfer payloads into Call.Payload for
-// hashing probes (stage 3). Expensive — off by default. A process that
-// keeps no content has no payloads to capture; asking it to is a bug.
+// SetPayloadCapture enables handing transfer payloads to probes in
+// Call.Payload for hashing (stage 3). Off by default. A process that keeps
+// no content has no payloads to capture; asking it to is a bug.
 func (c *Context) SetPayloadCapture(on bool) {
 	if on && !c.content {
 		panic("cuda: payload capture in a process that keeps no content")
@@ -525,6 +530,34 @@ func (c *Context) internalSync(until simtime.Time, scope SyncScope, outer *Call)
 	c.freeCall(syncCall)
 }
 
+// capture hands a transfer's source view to the call's probes when payload
+// capture is on.
+func (c *Context) capture(call *Call, v memory.View) {
+	if c.capturePayloads {
+		call.Payload = v
+	}
+}
+
+// viewBytes returns the bytes of a transfer's source view: its live bytes
+// when dense, and when uniform the context's fill buffer, so neither the
+// source nor the destination's backing is rebuilt per transfer. The slice
+// is valid until the next call; the landing copies it at once.
+func (c *Context) viewBytes(v memory.View) []byte {
+	if !v.Uniform() {
+		return v.Data
+	}
+	if len(c.fillBuf) < v.Len {
+		c.fillBuf, c.fillVal = make([]byte, v.Len), 0
+	}
+	if c.fillVal != v.Fill {
+		for i := range c.fillBuf {
+			c.fillBuf[i] = v.Fill
+		}
+		c.fillVal = v.Fill
+	}
+	return c.fillBuf[:v.Len]
+}
+
 // devWrite lands n bytes at dst on dev: data when the process keeps
 // content, the range check alone when it does not (data is nil then).
 func (c *Context) devWrite(dev *gpu.Device, dst gpu.DevPtr, data []byte, n int) error {
@@ -534,12 +567,13 @@ func (c *Context) devWrite(dev *gpu.Device, dst gpu.DevPtr, data []byte, n int) 
 	return dev.DevWrite(dst, data)
 }
 
-// hostWrite is devWrite for the host side of a device-to-host transfer.
-func (c *Context) hostWrite(dst memory.Addr, data []byte, n int) error {
+// hostWrite lands a device-to-host transfer's source view v, n bytes, at
+// dst, as devWrite does on the device side.
+func (c *Context) hostWrite(dst memory.Addr, v memory.View, n int) error {
 	if !c.content {
 		return c.host.PokeN(dst, n)
 	}
-	return c.host.Poke(dst, data)
+	return c.host.Poke(dst, c.viewBytes(v))
 }
 
 // reportOp publishes a device activity record.

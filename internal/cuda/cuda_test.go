@@ -333,7 +333,7 @@ func TestStackCaptureOnlyWhenEnabled(t *testing.T) {
 func TestPayloadCapture(t *testing.T) {
 	e := newEnv()
 	var payload []byte
-	e.ctx.AttachProbe(FuncMemcpy, Probe{Exit: func(c *Call) { payload = c.Payload }})
+	e.ctx.AttachProbe(FuncMemcpy, Probe{Exit: func(c *Call) { payload = c.Payload.Data }})
 	src := e.host.Alloc(16, "src")
 	_ = e.host.Poke(src.Base(), []byte("abcdefgh"))
 	buf, _ := e.ctx.Malloc(16, "dev")

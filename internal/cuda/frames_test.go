@@ -1,10 +1,13 @@
 package cuda
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
+	"diogenes/internal/callstack"
 	"diogenes/internal/gpu"
+	"diogenes/internal/memory"
 	"diogenes/internal/simtime"
 )
 
@@ -49,6 +52,54 @@ func TestUnprobedCallAllocations(t *testing.T) {
 		}
 	}); launch != 0 {
 		t.Errorf("timing-only LaunchKernel with a 1 MiB write: %v allocs/call, want 0", launch)
+	}
+}
+
+// TestUniformPayloadUnread copies a never-written device buffer to the host
+// with payload capture on. The probe must see a uniform payload, the buffer
+// must stay uniform (the read materialises nothing), the host must receive
+// its bytes, and a warm copy must allocate nothing.
+func TestUniformPayloadUnread(t *testing.T) {
+	clock := simtime.NewClock()
+	dev := gpu.NewKeeping(clock, gpu.DefaultConfig(), gpu.Keep{Content: true})
+	host := memory.NewSpace()
+	ctx := NewContext(clock, dev, host, callstack.New(), DefaultConfig())
+	ctx.SetPayloadCapture(true)
+	const n = 96 << 10
+	var payload memory.View
+	ctx.AttachProbe(FuncMemcpy, Probe{Exit: func(c *Call) { payload = c.Payload }})
+	src, err := ctx.Malloc(n, "never written")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := host.Alloc(n, "host copy")
+	if err := host.Poke(dst.Base(), []byte{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ctx.MemcpyD2H(dst.Base(), src.Base(), n); err != nil {
+		t.Fatal(err)
+	}
+	if payload.Src != src || !payload.Uniform() || payload.Fill != 0 || payload.Len != n {
+		t.Fatalf("payload: from the source %v, uniform %v, fill %d, len %d; want a uniform zero view of the source",
+			payload.Src == src, payload.Uniform(), payload.Fill, payload.Len)
+	}
+	if v, err := dev.DevView(src.Base(), n); err != nil || !v.Uniform() {
+		t.Fatalf("source after the copy: uniform=%v err=%v, want still uniform", v.Uniform(), err)
+	}
+	got, err := host.Peek(dst.Base(), n)
+	if err != nil || !bytes.Equal(got, make([]byte, n)) {
+		t.Fatalf("host copy does not hold the source's zeros (err %v)", err)
+	}
+	copyOnce := func() {
+		if err := ctx.MemcpyD2H(dst.Base(), src.Base(), n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, copyOnce); allocs != 0 {
+		t.Errorf("warm captured D2H copy of a uniform buffer: %v allocs/call, want 0", allocs)
+	}
+	if v, _ := dev.DevView(src.Base(), n); !v.Uniform() {
+		t.Fatal("repeated copies materialised the source")
 	}
 }
 

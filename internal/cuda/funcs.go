@@ -231,12 +231,14 @@ type Call struct {
 	DevPtr   gpu.DevPtr
 	Stream   gpu.StreamID
 
-	// Payload holds the transferred bytes when payload capture is enabled
-	// (stage 3 data hashing). Nil otherwise. It is a read-only view that
-	// may alias live simulated memory: probes must consume it inside the
-	// exit callback — copying if they need the bytes afterwards — and must
-	// never write through it.
-	Payload []byte
+	// Payload is the view of the transfer's source bytes when payload
+	// capture is enabled (stage 3 data hashing); the zero View (nil Src)
+	// otherwise. A uniform source is described by its fill byte and never
+	// read; a dense one aliases live simulated memory together with the
+	// source's content version. Probes must consume it inside the exit
+	// callback, copying if they need the bytes afterwards, and must never
+	// write through it.
+	Payload memory.View
 
 	// Stack is the application call stack at entry, captured only when
 	// stack capture is enabled (it is expensive, like a real unwind).

@@ -39,17 +39,15 @@ func (c *Context) PrivateMemcpyD2H(dst memory.Addr, src gpu.DevPtr, n int) error
 	call := c.beginCall(FuncPrivateMemcpy, KindTransfer)
 	defer c.endCall(call)
 	c.clock.Advance(c.cfg.MemcpySetupCost)
-	data, err := c.devs[c.cur].DevReadView(src, n)
+	v, err := c.devs[c.cur].DevView(src, n)
 	if err != nil {
 		return err
 	}
 	c.fillTransfer(call, DirD2H, n, dst, n, src, gpu.LegacyStream)
-	if c.capturePayloads {
-		call.Payload = data
-	}
+	c.capture(call, v)
 	op := c.devs[c.cur].EnqueueCopy(gpu.LegacyStream, gpu.OpCopyD2H, "private memcpy DtoH", n)
 	c.reportOp(op)
 	c.touchInternal(FuncInternalEnqueue)
 	c.internalSync(op.End, SyncPrivate, call)
-	return c.hostWrite(dst, data, n)
+	return c.hostWrite(dst, v, n)
 }

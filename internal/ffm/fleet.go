@@ -127,14 +127,6 @@ type FleetReport struct {
 	Skew              *FleetSkew     `json:"skew,omitempty"`
 }
 
-// TopProblem returns the highest-total aggregated problem, if any.
-func (fr *FleetReport) TopProblem() (FleetProblem, bool) {
-	if len(fr.Problems) == 0 {
-		return FleetProblem{}, false
-	}
-	return fr.Problems[0], true
-}
-
 // WriteJSON exports the fleet report. The document contains no maps and no
 // wall-clock values, so it is byte-identical for identical inputs
 // regardless of worker count.

@@ -227,13 +227,13 @@ func runMemoryTracing(app proc.App, factory proc.Factory, base *BaselineResult, 
 		Metrics:         mets,
 		OnRecord: func(rec *trace.Record, call *cuda.Call) {
 			if rec.Class == trace.ClassTransfer {
-				if call.Payload != nil {
+				if call.Payload.Src != nil {
 					// Charge the hashing cost before consulting the store.
 					// The charge models full sha256 hashing and is part of
 					// the reproduced §5 numbers; the store underneath may
 					// classify without hashing, but that saves host time
 					// only, never virtual time.
-					kb := (len(call.Payload) + 1023) / 1024
+					kb := (call.Payload.Len + 1023) / 1024
 					p.Ctx.ChargeOverhead(simtime.Duration(kb) * ov.HashPerKB)
 					rec.Duplicate, rec.FirstSeq, rec.Hash = store.Insert(call.Payload, rec.Seq)
 				}

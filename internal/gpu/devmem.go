@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+
+	"diogenes/internal/memory"
 )
 
 // DevPtr is an address in device memory. The device and host address spaces
@@ -23,15 +25,17 @@ var ErrNoContent = errors.New("gpu: device memory contents not simulated")
 
 // DevBuf is an allocation in device memory. Its bytes are lazy: while data
 // is nil every byte equals fill, so an untouched buffer or one just memset
-// whole costs no host memory. The first write, partial fill or view
-// materialises the whole buffer once.
+// whole costs no host memory. The first write or partial fill materialises
+// the whole buffer once. Every write bumps its content version and no read
+// does, as for memory.Region.
 type DevBuf struct {
-	base  DevPtr
-	size  int
-	data  []byte // nil while uniform
-	fill  byte
-	freed bool
-	label string
+	base    DevPtr
+	size    int
+	data    []byte // nil while uniform
+	fill    byte
+	version uint64 // bumped by every write of the contents
+	freed   bool
+	label   string
 }
 
 // dense materialises b and returns its backing bytes.
@@ -142,10 +146,11 @@ func (d *Device) BufAt(ptr DevPtr) *DevBuf {
 // and copies nothing.
 func (d *Device) DevWrite(ptr DevPtr, p []byte) error {
 	b, err := d.writeBuf(ptr, len(p))
-	if err != nil || !d.keep.Content {
+	if err != nil || !d.keep.Content || len(p) == 0 {
 		return err
 	}
 	copy(b.dense()[int(ptr-b.base):], p)
+	b.version++
 	return nil
 }
 
@@ -183,19 +188,16 @@ func (d *Device) DevRead(ptr DevPtr, n int) ([]byte, error) {
 	return b.read(int(ptr-b.base), n), nil
 }
 
-// DevReadView is DevRead without the copy: it returns a slice aliasing the
-// buffer's live bytes, materialising a uniform buffer first. Callers must
-// treat it as read-only and must not retain it past the operation that
-// requested it — later DevWrite, DevFill or FreeBuf calls change or
-// invalidate the contents. A device that keeps no content checks the range
-// and returns nil: there are no bytes to move.
-func (d *Device) DevReadView(ptr DevPtr, n int) ([]byte, error) {
+// DevView is DevRead without the copy, and without materialising a
+// uniform buffer (see memory.View): the driver's transfers read their
+// source through it. It fails as DevRead does; a device that keeps no
+// content checks the range and returns the zero View.
+func (d *Device) DevView(ptr DevPtr, n int) (memory.View, error) {
 	b, err := d.readBuf(ptr, n)
 	if err != nil || !d.keep.Content {
-		return nil, err
+		return memory.View{}, err
 	}
-	off := int(ptr - b.base)
-	return b.dense()[off : off+n : off+n], nil
+	return memory.ViewOf(b, b.data, b.fill, b.version, int(ptr-b.base), n), nil
 }
 
 // readBuf returns the live buffer holding [ptr, ptr+n), or the error a
@@ -225,6 +227,7 @@ func (d *Device) DevFill(ptr DevPtr, v byte, n int) error {
 	if n <= 0 || !d.keep.Content {
 		return nil
 	}
+	b.version++
 	if ptr == b.base && n == b.size {
 		b.data, b.fill = nil, v
 		return nil

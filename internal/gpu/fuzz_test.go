@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"diogenes/internal/memory"
 	"diogenes/internal/simtime"
 )
 
@@ -29,6 +30,7 @@ type shadowBuf struct {
 	tbuf  *DevBuf
 	data  []byte
 	freed bool
+	seen  map[uint64][]byte // shadow bytes last observed at each version
 }
 
 // FuzzLazyDevMem runs a decoded sequence of device-memory operations
@@ -41,6 +43,12 @@ type shadowBuf struct {
 // operation must succeed or fail there with the same error as on the
 // content device, and DevRead must fail with ErrNoContent exactly where
 // the content device returns bytes.
+//
+// Content versions must name contents: every successful DevWrite or DevFill
+// of at least one byte bumps the buffer's version, nothing else does, and a
+// buffer holds the same bytes whenever it is at a version seen before. A
+// DevView must not materialise a uniform buffer, and a dense DevView
+// carries the buffer's current version.
 func FuzzLazyDevMem(f *testing.F) {
 	// A whole fill followed by a one-byte write.
 	f.Add([]byte{devAlloc, 31, devFillWhole, 0, 0x5a, devWrite, 0, 7, 1, 0x01, devRead, 0, 0, 32})
@@ -56,6 +64,9 @@ func FuzzLazyDevMem(f *testing.F) {
 	f.Add([]byte{devAlloc, 7, devFillWhole, 0, 0x3c, devRead, 0, 2, 5})
 	// A partial fill from the base leaves the tail alone.
 	f.Add([]byte{devAlloc, 7, devWrite, 0, 6, 2, 1, 2, devFillPart, 0, 0, 3, 9, devRead, 0, 0, 8})
+	// The same bytes written twice, viewed between and after, then a whole
+	// fill back to uniform and a view of it.
+	f.Add([]byte{devAlloc, 7, devWrite, 0, 1, 2, 4, 4, devView, 0, 0, 8, devWrite, 0, 1, 2, 4, 4, devView, 0, 0, 8, devFillWhole, 0, 4, devView, 0, 1, 3})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		_, d := newDev()
 		td := NewKeeping(simtime.NewClock(), DefaultConfig(), Keep{})
@@ -103,7 +114,7 @@ func FuzzLazyDevMem(f *testing.F) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				bufs = append(bufs, &shadowBuf{buf: b, tbuf: tb, data: make([]byte, n)})
+				bufs = append(bufs, &shadowBuf{buf: b, tbuf: tb, data: make([]byte, n), seen: map[uint64][]byte{}})
 				continue
 			}
 			sb := bufs[int(next())%len(bufs)]
@@ -111,6 +122,8 @@ func FuzzLazyDevMem(f *testing.F) {
 			if sb.tbuf.Base() != base {
 				t.Fatalf("twin buffer at %#x, content buffer at %#x", sb.tbuf.Base(), base)
 			}
+			version := sb.buf.version
+			wrote := false // a successful write of at least one byte
 			switch op {
 			case devWrite:
 				off, n, bad := span(sb)
@@ -123,6 +136,7 @@ func FuzzLazyDevMem(f *testing.F) {
 				twin("DevWrite", err, td.DevWriteN(base+DevPtr(off), n))
 				if !bad {
 					copy(sb.data[off:], p)
+					wrote = n > 0
 				}
 			case devFillWhole:
 				v := next()
@@ -131,6 +145,7 @@ func FuzzLazyDevMem(f *testing.F) {
 				twin("DevFill whole", err, td.DevFill(base, v, len(sb.data)))
 				if !sb.freed {
 					setBytes(sb.data, v)
+					wrote = true
 				}
 			case devFillPart:
 				off, n, bad := span(sb)
@@ -140,6 +155,7 @@ func FuzzLazyDevMem(f *testing.F) {
 				twin("DevFill", err, td.DevFill(base+DevPtr(off), v, n))
 				if !bad {
 					setBytes(sb.data[off:off+n], v)
+					wrote = n > 0
 				}
 			case devRead, devView:
 				off, n, bad := span(sb)
@@ -155,8 +171,25 @@ func FuzzLazyDevMem(f *testing.F) {
 						twErr = nil
 					}
 				} else {
-					got, err = d.DevReadView(base+DevPtr(off), n)
-					twGot, twErr = td.DevReadView(base+DevPtr(off), n)
+					uniform := sb.buf.data == nil
+					var v, twV memory.View
+					v, err = d.DevView(base+DevPtr(off), n)
+					twV, twErr = td.DevView(base+DevPtr(off), n)
+					if twV.Src != nil || twV.Data != nil || twV.Len != 0 {
+						t.Fatalf("timing-only DevView = %+v, want the zero View", twV)
+					}
+					if err == nil {
+						if v.Uniform() != uniform || (sb.buf.data == nil) != uniform {
+							t.Fatalf("step %d: DevView of a buffer with uniform=%v: view uniform=%v, buffer now uniform=%v", step, uniform, v.Uniform(), sb.buf.data == nil)
+						}
+						if v.Src != sb.buf || v.Off != off || v.Len != n || (!v.Uniform() && v.Version != sb.buf.version) {
+							t.Fatalf("step %d: DevView names %p+%d len %d v%d, want %p+%d len %d v%d", step, v.Src, v.Off, v.Len, v.Version, sb.buf, off, n, sb.buf.version)
+						}
+						got = v.Data
+						if v.Uniform() {
+							got = bytes.Repeat([]byte{v.Fill}, n)
+						}
+					}
 				}
 				check("read", err, bad)
 				twin("read", err, twErr)
@@ -172,6 +205,16 @@ func FuzzLazyDevMem(f *testing.F) {
 				twin("FreeBuf", err, td.FreeBuf(sb.tbuf))
 				sb.freed = true
 			}
+			if wrote != (sb.buf.version != version) {
+				t.Fatalf("step %d: op %d moved the version %d -> %d, wrote=%v", step, op, version, sb.buf.version, wrote)
+			}
+			if sb.freed {
+				continue
+			}
+			if prev, ok := sb.seen[sb.buf.version]; ok && !bytes.Equal(prev, sb.data) {
+				t.Fatalf("step %d: version %d holds %x, held %x before", step, sb.buf.version, sb.data, prev)
+			}
+			sb.seen[sb.buf.version] = bytes.Clone(sb.data)
 		}
 		for i, sb := range bufs {
 			if sb.freed {

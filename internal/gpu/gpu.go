@@ -309,9 +309,6 @@ func (d *Device) BusyUntil() simtime.Time {
 // callers must not modify it.
 func (d *Device) Ops() []*Op { return d.ops }
 
-// OpCount returns the number of device operations executed, logged or not.
-func (d *Device) OpCount() int { return d.nextSeq }
-
 // BusySpans returns the merged intervals during which at least one stream
 // was executing, up to horizon. Infinite kernels are truncated at horizon.
 // It reads the op log, so a device without one reports no spans.

@@ -3,30 +3,30 @@
 // was seen before marks the transfer as a duplicate, and the store remembers
 // where the data was first transferred.
 //
-// Hashing is tiered so the simulated model cost (charged in virtual time by
-// stage 3) does not also become a real host-time cost per payload:
+// Every payload is classified by its sha256 digest, and the store keeps
+// digests only, never payload bytes. A payload arrives as a memory.View,
+// which lets two memos stand in for a sha256 the view's bytes could not
+// change:
 //
-//  1. a fixed-seed 64-bit prefilter hash routes the payload to a bucket;
-//  2. duplicates are confirmed by byte comparison against the first-seen
-//     payload's retained copy (its identity witness), which classifies
-//     exactly like comparing sha256 digests would, so a duplicate never
-//     pays for a sha256;
-//  3. each distinct payload is hashed with sha256 once, when the store
-//     first sees it. The witness is kept for the store's life, and the
-//     short hex form is interned per distinct payload, never per record.
+//   - a uniform payload (every byte one value) is hashed once per distinct
+//     (fill, length), without reading simulated memory at all;
+//   - a dense payload reuses the digest last computed for the same
+//     (source, offset, length) when the source's content version is still
+//     the one hashed, since equal versions mean equal bytes.
+//
+// Any other payload is hashed with sha256. The short hex form is interned
+// per distinct payload, never per record.
 //
 // The store is safe for concurrent use, so stage 3 can hash under the
 // parallel engine's sched workers.
 package hashstore
 
 import (
-	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
-	"math/bits"
 	"sync"
 
+	"diogenes/internal/memory"
 	"diogenes/internal/obs"
 )
 
@@ -67,110 +67,154 @@ type Entry struct {
 	Count    int   // total transfers with this content, including the first
 }
 
-// entry is the store's internal record of one distinct payload: a retained
-// copy of its bytes, its sha256 digest and the interned short hex form.
+// entry is the store's internal record of one distinct payload.
 type entry struct {
-	next     *entry // bucket chain (prefilter collisions and distinct sizes)
 	firstSeq int64
+	size     int
 	count    int
-	payload  []byte // retained witness bytes
-	sum      Key    // sha256 digest
-	hex8     string // interned short hex of sum
+	hex8     string // interned short hex of the digest
+}
+
+// uniformKey names a uniform payload: its length and its one byte value.
+type uniformKey struct {
+	fill byte
+	n    int
+}
+
+// denseKey names where a dense payload was read from.
+type denseKey struct {
+	src    any
+	off, n int
+}
+
+// denseMemo is the entry of the last payload hashed at a denseKey, and the
+// source's content version it was read at.
+type denseMemo struct {
+	version uint64
+	e       *entry
 }
 
 // Store maps payload contents to their first transfer. The zero value is
 // not usable; call New. All methods are safe for concurrent use.
 type Store struct {
-	mu       sync.Mutex
-	buckets  map[uint64]*entry
-	distinct int
+	mu      sync.Mutex
+	entries map[Key]*entry
+	uniform map[uniformKey]*entry
+	dense   map[denseKey]denseMemo
 	// stats
 	inserts    int64
 	duplicates int64
 	dupBytes   int64
-	retained   int64 // bytes held as identity witnesses
 
 	// Instrument pointers resolved by SetMetrics (nil-safe no-ops until
 	// then).
-	mPrefilterHits *obs.Counter
 	mSha256Avoided *obs.Counter
 	mSha256        *obs.Counter
-	mRetained      *obs.Gauge
 }
 
 // New returns an empty store.
-func New() *Store { return &Store{buckets: make(map[uint64]*entry)} }
+func New() *Store {
+	return &Store{
+		entries: make(map[Key]*entry),
+		uniform: make(map[uniformKey]*entry),
+		dense:   make(map[denseKey]denseMemo),
+	}
+}
 
-// SetMetrics attaches self-measurement instruments: inserts whose prefilter
-// bucket already held a candidate (hashstore/prefilter_hits), duplicate
-// inserts classified without computing any sha256 (hashstore/sha256_avoided),
-// sha256 digests computed, one per distinct payload
-// (hashstore/sha256_computed), and the bytes retained as identity witnesses
-// (hashstore/retained_bytes). A nil registry detaches.
+// SetMetrics attaches self-measurement instruments: sha256 computations
+// (hashstore/sha256_computed) and inserts whose digest came from a memo
+// instead (hashstore/sha256_avoided). A nil registry detaches.
 func (s *Store) SetMetrics(m *obs.Registry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.mPrefilterHits = m.Counter("hashstore/prefilter_hits")
 	s.mSha256Avoided = m.Counter("hashstore/sha256_avoided")
 	s.mSha256 = m.Counter("hashstore/sha256_computed")
-	s.mRetained = m.Gauge("hashstore/retained_bytes")
 }
 
-// Insert records a transfer of payload p occurring at sequence seq. It
+// Insert records a transfer of payload v occurring at sequence seq. It
 // returns whether the content is a duplicate, the sequence of the first
 // transfer that carried it, and the abbreviated hex form of its sha256
-// digest (Key.String of Hash(p)), one interned string per distinct
-// payload. The duplicate classification is exactly the one plain sha256
-// hashing would produce (FuzzHashTiers proves it): payloads compare equal
-// iff their digests would.
-func (s *Store) Insert(p []byte, seq int64) (dup bool, firstSeq int64, hash string) {
-	h := prefilter64(p)
+// digest (Key.String of Hash over v's bytes), one interned string per
+// distinct payload. The classification is exactly the one hashing every
+// payload with sha256 would produce (FuzzHashTiers proves it). v's bytes
+// are read, if at all, before Insert returns.
+func (s *Store) Insert(v memory.View, seq int64) (dup bool, firstSeq int64, hash string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.inserts++
-	if s.buckets[h] != nil {
-		s.mPrefilterHits.Inc()
-	}
-	for e := s.buckets[h]; e != nil; e = e.next {
-		if bytes.Equal(e.payload, p) {
-			e.count++
-			s.duplicates++
-			s.dupBytes += int64(len(p))
-			s.mSha256Avoided.Inc()
-			return true, e.firstSeq, e.hex8
+	e := s.memo(v)
+	if e != nil {
+		s.mSha256Avoided.Inc()
+	} else {
+		s.mSha256.Inc()
+		sum := digest(v)
+		if e = s.entries[sum]; e == nil {
+			e = &entry{firstSeq: seq, size: v.Len, hex8: sum.String()}
+			s.entries[sum] = e
+		}
+		if v.Uniform() {
+			s.uniform[uniformKey{v.Fill, v.Len}] = e
+		} else {
+			s.dense[denseKey{v.Src, v.Off, v.Len}] = denseMemo{v.Version, e}
 		}
 	}
-	e := &entry{next: s.buckets[h], firstSeq: seq, count: 1, payload: bytes.Clone(p), sum: sha256.Sum256(p)}
-	e.hex8 = e.sum.String()
-	s.buckets[h] = e
-	s.distinct++
-	s.retained += int64(len(p))
-	s.mSha256.Inc()
-	s.mRetained.Set(float64(s.retained))
-	return false, seq, e.hex8
+	e.count++
+	if e.count == 1 {
+		return false, seq, e.hex8
+	}
+	s.duplicates++
+	s.dupBytes += int64(v.Len)
+	return true, e.firstSeq, e.hex8
 }
 
-// Lookup returns the entry for a content key, if any. It scans every
-// entry, so it is intended for tests and post-run inspection, not the hot
-// path.
+// memo returns the entry a memo holds for v's bytes, or nil.
+func (s *Store) memo(v memory.View) *entry {
+	if v.Uniform() {
+		return s.uniform[uniformKey{v.Fill, v.Len}]
+	}
+	if m, ok := s.dense[denseKey{v.Src, v.Off, v.Len}]; ok && m.version == v.Version {
+		return m.e
+	}
+	return nil
+}
+
+// digest computes the sha256 of v's bytes. A uniform view is hashed from a
+// block of its fill byte, so its length costs no memory.
+func digest(v memory.View) Key {
+	if !v.Uniform() {
+		return sha256.Sum256(v.Data)
+	}
+	var block [4096]byte
+	if v.Fill != 0 {
+		for i := range block {
+			block[i] = v.Fill
+		}
+	}
+	h := sha256.New()
+	for n := v.Len; n > 0; n -= len(block) {
+		h.Write(block[:min(n, len(block))])
+	}
+	var k Key
+	h.Sum(k[:0])
+	return k
+}
+
+// Lookup returns the entry for a content key, if any.
 func (s *Store) Lookup(k Key) (Entry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, chain := range s.buckets {
-		for e := chain; e != nil; e = e.next {
-			if e.sum == k {
-				return Entry{FirstSeq: e.firstSeq, Bytes: len(e.payload), Count: e.count}, true
-			}
-		}
+	e, ok := s.entries[k]
+	if !ok {
+		return Entry{}, false
 	}
-	return Entry{}, false
+	return Entry{FirstSeq: e.firstSeq, Bytes: e.size, Count: e.count}, true
 }
 
 // Len returns the number of distinct payloads seen.
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.distinct
+	return len(s.entries)
 }
 
 // Inserts returns the total number of Insert calls.
@@ -192,83 +236,4 @@ func (s *Store) DuplicateBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.dupBytes
-}
-
-// RetainedBytes returns the bytes held as identity witnesses: one copy of
-// every distinct payload.
-func (s *Store) RetainedBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.retained
-}
-
-// prefilter64 is the fixed-seed 64-bit prefilter hash (the XXH64 layout).
-// It only routes payloads to buckets — classification never trusts it, so a
-// collision costs one extra byte comparison, never a wrong answer.
-const prefilterSeed uint64 = 0x9e3779b97f4a7c15
-
-const (
-	prime1 uint64 = 11400714785074694791
-	prime2 uint64 = 14029467366897019727
-	prime3 uint64 = 1609587929392839161
-	prime4 uint64 = 9650029242287828579
-	prime5 uint64 = 2870177450012600261
-)
-
-func prefilter64(p []byte) uint64 {
-	n := uint64(len(p))
-	var h uint64
-	seed := prefilterSeed
-	if len(p) >= 32 {
-		v1 := seed + prime1 + prime2
-		v2 := seed + prime2
-		v3 := seed
-		v4 := seed - prime1
-		for len(p) >= 32 {
-			v1 = round(v1, binary.LittleEndian.Uint64(p[0:8]))
-			v2 = round(v2, binary.LittleEndian.Uint64(p[8:16]))
-			v3 = round(v3, binary.LittleEndian.Uint64(p[16:24]))
-			v4 = round(v4, binary.LittleEndian.Uint64(p[24:32]))
-			p = p[32:]
-		}
-		h = bits.RotateLeft64(v1, 1) + bits.RotateLeft64(v2, 7) +
-			bits.RotateLeft64(v3, 12) + bits.RotateLeft64(v4, 18)
-		h = mergeRound(h, v1)
-		h = mergeRound(h, v2)
-		h = mergeRound(h, v3)
-		h = mergeRound(h, v4)
-	} else {
-		h = seed + prime5
-	}
-	h += n
-	for len(p) >= 8 {
-		h ^= round(0, binary.LittleEndian.Uint64(p[:8]))
-		h = bits.RotateLeft64(h, 27)*prime1 + prime4
-		p = p[8:]
-	}
-	if len(p) >= 4 {
-		h ^= uint64(binary.LittleEndian.Uint32(p[:4])) * prime1
-		h = bits.RotateLeft64(h, 23)*prime2 + prime3
-		p = p[4:]
-	}
-	for _, b := range p {
-		h ^= uint64(b) * prime5
-		h = bits.RotateLeft64(h, 11) * prime1
-	}
-	h ^= h >> 33
-	h *= prime2
-	h ^= h >> 29
-	h *= prime3
-	h ^= h >> 32
-	return h
-}
-
-func round(acc, in uint64) uint64 {
-	acc += in * prime2
-	return bits.RotateLeft64(acc, 31) * prime1
-}
-
-func mergeRound(h, v uint64) uint64 {
-	h ^= round(0, v)
-	return h*prime1 + prime4
 }

@@ -1,6 +1,7 @@
 package hashstore
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"fmt"
 	"sync"
@@ -8,12 +9,19 @@ import (
 	"testing/quick"
 	"unsafe"
 
+	"diogenes/internal/memory"
 	"diogenes/internal/obs"
 )
 
+// bytesView returns a dense view of p from a source of its own, so no memo
+// can answer for it and the store hashes it.
+func bytesView(p []byte) memory.View {
+	return memory.ViewOf(new(byte), p, 0, 0, 0, len(p))
+}
+
 func TestFirstInsertNotDuplicate(t *testing.T) {
 	s := New()
-	dup, first, _ := s.Insert([]byte("payload"), 10)
+	dup, first, _ := s.Insert(bytesView([]byte("payload")), 10)
 	if dup {
 		t.Fatal("first insert reported duplicate")
 	}
@@ -27,8 +35,8 @@ func TestFirstInsertNotDuplicate(t *testing.T) {
 
 func TestDuplicateDetection(t *testing.T) {
 	s := New()
-	s.Insert([]byte("same bytes"), 1)
-	dup, first, _ := s.Insert([]byte("same bytes"), 5)
+	s.Insert(bytesView([]byte("same bytes")), 1)
+	dup, first, _ := s.Insert(bytesView([]byte("same bytes")), 5)
 	if !dup {
 		t.Fatal("identical payload not flagged")
 	}
@@ -46,8 +54,8 @@ func TestDuplicateDetection(t *testing.T) {
 
 func TestDistinctPayloadsDistinctKeys(t *testing.T) {
 	s := New()
-	_, _, h1 := s.Insert([]byte("aaaa"), 1)
-	dup, _, h2 := s.Insert([]byte("aaab"), 2)
+	_, _, h1 := s.Insert(bytesView([]byte("aaaa")), 1)
+	dup, _, h2 := s.Insert(bytesView([]byte("aaab")), 2)
 	if dup {
 		t.Fatal("different payload flagged duplicate")
 	}
@@ -78,8 +86,8 @@ func TestKeyStrings(t *testing.T) {
 
 func TestEmptyPayload(t *testing.T) {
 	s := New()
-	dup1, _, _ := s.Insert(nil, 1)
-	dup2, first, hash := s.Insert([]byte{}, 2)
+	dup1, _, _ := s.Insert(bytesView(nil), 1)
+	dup2, first, hash := s.Insert(bytesView([]byte{}), 2)
 	if dup1 {
 		t.Fatal("first empty payload flagged duplicate")
 	}
@@ -95,7 +103,7 @@ func TestRefMatchesEagerHash(t *testing.T) {
 	payloads := [][]byte{nil, []byte("a"), []byte("hello world"), make([]byte, 4096)}
 	s := New()
 	for i, p := range payloads {
-		_, _, hash := s.Insert(p, int64(i))
+		_, _, hash := s.Insert(bytesView(p), int64(i))
 		if want := Hash(p).String(); hash != want {
 			t.Fatalf("payload %d: short hex %q != %q", i, hash, want)
 		}
@@ -107,8 +115,8 @@ func TestRefMatchesEagerHash(t *testing.T) {
 
 func TestRefStringInterned(t *testing.T) {
 	s := New()
-	_, _, a := s.Insert([]byte("interned"), 1)
-	_, _, b := s.Insert([]byte("interned"), 2)
+	_, _, a := s.Insert(bytesView([]byte("interned")), 1)
+	_, _, b := s.Insert(bytesView([]byte("interned")), 2)
 	if a != b {
 		t.Fatalf("duplicate inserts return different hashes: %q vs %q", a, b)
 	}
@@ -119,26 +127,74 @@ func TestRefStringInterned(t *testing.T) {
 	}
 }
 
+// TestMetricsCounters pins the counter definitions: sha256_computed counts
+// sha256 computations, sha256_avoided the inserts whose digest came from a
+// memo. A dense duplicate read from another source, or from its source at
+// a later version, is hashed again.
 func TestMetricsCounters(t *testing.T) {
 	reg := obs.NewRegistry()
 	s := New()
 	s.SetMetrics(reg)
-	s.Insert([]byte("one"), 1)
-	s.Insert([]byte("one"), 2)
-	s.Insert([]byte("two"), 3)
-	s.Insert([]byte("one"), 4)
-	if got := reg.Counter("hashstore/sha256_computed").Value(); got != 2 {
-		t.Fatalf("sha256_computed = %d, want 2 (one per distinct payload)", got)
+	sp := memory.NewSpace()
+	src := sp.Alloc(3, "src")
+	view := func() memory.View {
+		v, err := sp.View(src.Base(), 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	s.Insert(view(), 1) // uniform zeros: computed
+	s.Insert(view(), 2) // the same (fill, length): avoided
+	if err := sp.Poke(src.Base(), []byte("one")); err != nil {
+		t.Fatal(err)
+	}
+	s.Insert(view(), 3)                   // computed
+	s.Insert(view(), 4)                   // unchanged source: avoided
+	s.Insert(bytesView([]byte("one")), 5) // another source: computed, duplicate
+	if err := sp.Poke(src.Base(), []byte("one")); err != nil {
+		t.Fatal(err)
+	}
+	s.Insert(view(), 6) // rewritten: computed, duplicate
+	if got := reg.Counter("hashstore/sha256_computed").Value(); got != 4 {
+		t.Fatalf("sha256_computed = %d, want 4", got)
 	}
 	if got := reg.Counter("hashstore/sha256_avoided").Value(); got != 2 {
-		t.Fatalf("sha256_avoided = %d, want 2 (the duplicate inserts)", got)
+		t.Fatalf("sha256_avoided = %d, want 2 (the memo hits)", got)
 	}
-	if got := reg.Counter("hashstore/prefilter_hits").Value(); got != 2 {
-		t.Fatalf("prefilter_hits = %d, want 2 (the duplicate inserts)", got)
+	if s.Len() != 2 || s.Duplicates() != 4 {
+		t.Fatalf("distinct = %d, duplicates = %d, want 2 and 4", s.Len(), s.Duplicates())
 	}
-	// One witness per distinct payload, kept for the store's life.
-	if got := s.RetainedBytes(); got != int64(len("one")+len("two")) {
-		t.Fatalf("retained = %d, want %d", got, len("one")+len("two"))
+}
+
+// TestUniformPayloadUnread checks that a uniform view is classified and
+// digested like its bytes without those bytes ever existing: the region it
+// was read from stays uniform, and a dense payload with the same bytes is
+// its duplicate.
+func TestUniformPayloadUnread(t *testing.T) {
+	sp := memory.NewSpace()
+	const n = 10000 // several hashing blocks and a ragged tail
+	r := sp.Alloc(n, "uniform")
+	if err := sp.Fill(r.Base(), 0x5a, n); err != nil {
+		t.Fatal(err)
+	}
+	v, err := sp.View(r.Base(), n)
+	if err != nil || !v.Uniform() {
+		t.Fatalf("view of a filled region: uniform=%v err=%v", v.Uniform(), err)
+	}
+	s := New()
+	dense := bytes.Repeat([]byte{0x5a}, n)
+	if dup, _, hash := s.Insert(v, 1); dup || hash != Hash(dense).String() {
+		t.Fatalf("uniform insert: dup=%v hash=%q, want fresh %q", dup, hash, Hash(dense).String())
+	}
+	if dup, first, _ := s.Insert(bytesView(dense), 2); !dup || first != 1 {
+		t.Fatalf("dense copy of a uniform payload: dup=%v first=%d", dup, first)
+	}
+	if v, _ := sp.View(r.Base(), n); !v.Uniform() {
+		t.Fatal("hashing a uniform payload materialised its region")
+	}
+	if e, ok := s.Lookup(Hash(dense)); !ok || e.Bytes != n || e.Count != 2 {
+		t.Fatalf("entry = %+v ok=%v", e, ok)
 	}
 }
 
@@ -151,7 +207,7 @@ func TestConcurrentInsert(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				payload := []byte(fmt.Sprintf("payload-%d", i%17))
-				if _, _, hash := s.Insert(payload, int64(g*1000+i)); hash != Hash(payload).String() {
+				if _, _, hash := s.Insert(bytesView(payload), int64(g*1000+i)); hash != Hash(payload).String() {
 					t.Errorf("payload %q: hash %q", payload, hash)
 				}
 			}
@@ -177,18 +233,11 @@ func TestQuickHashDeterministic(t *testing.T) {
 	}
 }
 
-func TestQuickPrefilterDeterministic(t *testing.T) {
-	f := func(p []byte) bool { return prefilter64(p) == prefilter64(append([]byte(nil), p...)) }
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestQuickDuplicateCountConsistent(t *testing.T) {
 	f := func(payloads [][]byte) bool {
 		s := New()
 		for i, p := range payloads {
-			s.Insert(p, int64(i))
+			s.Insert(bytesView(p), int64(i))
 		}
 		return s.Inserts() == int64(len(payloads)) &&
 			s.Duplicates() == s.Inserts()-int64(s.Len())

@@ -127,8 +127,8 @@ type TracerOptions struct {
 	Overhead simtime.Duration
 	// CaptureStacks records a call-stack snapshot per traced operation.
 	CaptureStacks bool
-	// CapturePayloads copies transfer payloads into the records' Payload
-	// hook (delivered via the OnTransferPayload callback).
+	// CapturePayloads hands each transfer's source view to OnRecord in
+	// the call's Payload (see cuda.Call.Payload).
 	CapturePayloads bool
 	// OnRecord, if set, is invoked as each record is appended; the pointer
 	// addresses the stored record and stays valid until Records() is

@@ -24,12 +24,14 @@ const (
 )
 
 // shadowRegion is the dense model a Region must agree with. tr is the
-// region's twin in the timing-only space.
+// region's twin in the timing-only space. seen holds the shadow bytes last
+// observed at each content version of r.
 type shadowRegion struct {
 	r, tr     *Region
 	data      []byte
 	protected bool
 	freed     bool
+	seen      map[uint64][]byte
 }
 
 // FuzzLazySpace runs a decoded sequence of address-space operations against
@@ -37,6 +39,12 @@ type shadowRegion struct {
 // must equal the shadow bytes; every operation must fail with the error the
 // shadow predicts (out of range, use after free, protected); and watchers
 // must see exactly the successful Load and Store calls.
+//
+// Content versions must name contents: every successful Store, Poke or Fill
+// of at least one byte bumps the region's version, nothing else does, and
+// a region holds the same bytes whenever it is at a version seen before. A
+// View must not materialise a uniform region, and a dense View carries the
+// region's current version.
 //
 // Each sequence is replayed on a timing-only twin as well (NewTimingSpace,
 // with writes landing through PokeN as the driver's do). Every operation
@@ -58,6 +66,9 @@ func FuzzLazySpace(f *testing.F) {
 	f.Add([]byte{spAlloc, 7, spFillWhole, 0, 0x3c, spLoad, 0, 2, 5})
 	// A partial fill from the base leaves the tail alone.
 	f.Add([]byte{spAlloc, 7, spPoke, 0, 6, 2, 1, 2, spFillPart, 0, 0, 3, 9, spLoad, 0, 0, 8})
+	// The same bytes written twice, viewed between and after, then a whole
+	// fill back to uniform and a view of it.
+	f.Add([]byte{spAlloc, 7, spPoke, 0, 1, 2, 4, 4, spView, 0, 0, 8, spPoke, 0, 1, 2, 4, 4, spView, 0, 0, 8, spFillWhole, 0, 4, spView, 0, 1, 3})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		s, tw := NewSpace(), NewTimingSpace()
 		var watched, twWatched []Access
@@ -116,7 +127,7 @@ func FuzzLazySpace(f *testing.F) {
 			op := next() % spOps
 			if op == spAlloc || len(regions) == 0 {
 				n := 1 + int(next()%64)
-				regions = append(regions, &shadowRegion{r: s.Alloc(n, "fuzz"), tr: tw.Alloc(n, "fuzz"), data: make([]byte, n)})
+				regions = append(regions, &shadowRegion{r: s.Alloc(n, "fuzz"), tr: tw.Alloc(n, "fuzz"), data: make([]byte, n), seen: map[uint64][]byte{}})
 				continue
 			}
 			sr := regions[int(next())%len(regions)]
@@ -124,6 +135,8 @@ func FuzzLazySpace(f *testing.F) {
 			if sr.tr.Base() != base {
 				t.Fatalf("twin region at %#x, content region at %#x", sr.tr.Base(), base)
 			}
+			version := sr.r.version
+			wrote := false // a successful write of at least one byte
 			switch op {
 			case spStore, spPoke:
 				k := int(Store)
@@ -147,6 +160,7 @@ func FuzzLazySpace(f *testing.F) {
 				}
 				if want == nil {
 					copy(sr.data[off:], p)
+					wrote = n > 0
 					if op == spStore {
 						wantWatched++
 					}
@@ -163,6 +177,7 @@ func FuzzLazySpace(f *testing.F) {
 				twin("Fill whole", err, tw.Fill(base, v, len(sr.data)))
 				if want == nil {
 					setBytes(sr.data, v)
+					wrote = true
 				}
 			case spFillPart:
 				off, n, want := span(sr, -1)
@@ -173,6 +188,7 @@ func FuzzLazySpace(f *testing.F) {
 				twin("Fill", err, tw.Fill(base+Addr(off), v, n))
 				if want == nil {
 					setBytes(sr.data[off:off+n], v)
+					wrote = n > 0
 				}
 			case spLoad, spPeek, spView:
 				k := -1
@@ -196,8 +212,25 @@ func FuzzLazySpace(f *testing.F) {
 						twErr = nil
 					}
 				default:
-					got, err = s.PeekView(base+Addr(off), n)
-					twGot, twErr = tw.PeekView(base+Addr(off), n)
+					uniform := sr.r.data == nil
+					var v, twV View
+					v, err = s.View(base+Addr(off), n)
+					twV, twErr = tw.View(base+Addr(off), n)
+					if twV.Src != nil || twV.Data != nil || twV.Len != 0 {
+						t.Fatalf("timing-only View = %+v, want the zero View", twV)
+					}
+					if err == nil {
+						if v.Uniform() != uniform || (sr.r.data == nil) != uniform {
+							t.Fatalf("step %d: View of a region with uniform=%v: view uniform=%v, region now uniform=%v", step, uniform, v.Uniform(), sr.r.data == nil)
+						}
+						if v.Src != sr.r || v.Off != off || v.Len != n || (!v.Uniform() && v.Version != sr.r.version) {
+							t.Fatalf("step %d: View names %p+%d len %d v%d, want %p+%d len %d v%d", step, v.Src, v.Off, v.Len, v.Version, sr.r, off, n, sr.r.version)
+						}
+						got = v.Data
+						if v.Uniform() {
+							got = bytes.Repeat([]byte{v.Fill}, n)
+						}
+					}
 				}
 				check("read", err, want)
 				twin("read", err, twErr)
@@ -228,6 +261,16 @@ func FuzzLazySpace(f *testing.F) {
 					sr.freed = true
 				}
 			}
+			if wrote != (sr.r.version != version) {
+				t.Fatalf("step %d: op %d moved the version %d -> %d, wrote=%v", step, op, version, sr.r.version, wrote)
+			}
+			if sr.freed {
+				continue
+			}
+			if prev, ok := sr.seen[sr.r.version]; ok && !bytes.Equal(prev, sr.data) {
+				t.Fatalf("step %d: version %d holds %x, held %x before", step, sr.r.version, sr.data, prev)
+			}
+			sr.seen[sr.r.version] = bytes.Clone(sr.data)
 		}
 		if len(watched) != wantWatched {
 			t.Fatalf("watch fired %d times, want %d (one per successful Load/Store)", len(watched), wantWatched)

@@ -15,8 +15,10 @@
 // A space built by NewSpace keeps its regions' contents, so stage 3 can
 // hash transfer payloads. Contents are lazy: a region holds no bytes while
 // every byte has one value (fresh from Alloc, or after a Fill of the whole
-// region), and materialises them on its first write, partial fill or view.
-// Reads see the same bytes either way.
+// region), and materialises them on its first write or partial fill.
+// Reads see the same bytes either way. Every write bumps the region's
+// content version and no read does, so a View of a dense range names its
+// bytes by (region, offset, length, version) without copying them.
 //
 // A space built by NewTimingSpace keeps no contents at all, for runs whose
 // consumers read only addresses, sizes and virtual time. It checks every
@@ -88,8 +90,39 @@ type Region struct {
 	label     string
 	data      []byte // nil while every byte equals fill
 	fill      byte
+	version   uint64 // bumped by every write of the contents
 	protected bool
 	freed     bool
+}
+
+// View is a read of n bytes of simulated memory, host or device, that
+// neither copies nor materialises them. A uniform range is described by its
+// fill byte alone (Data nil). A dense range aliases the live bytes, named by
+// their source allocation, offset and the source's content version: two
+// views with equal (Src, Off, Len, Version) hold equal bytes.
+//
+// Data is read-only and valid only until the source's next write or free.
+// The zero View is the read of a memory that keeps no contents.
+type View struct {
+	Src     any    // the allocation read (*Region, *gpu.DevBuf); nil for no contents
+	Off     int    // offset of the range within Src
+	Len     int    // length of the range
+	Fill    byte   // every byte's value when Data is nil
+	Data    []byte // the bytes, aliasing Src's backing; nil while uniform
+	Version uint64 // Src's content version when read; meaningful with Data
+}
+
+// Uniform reports whether every byte of the view equals Fill.
+func (v View) Uniform() bool { return v.Data == nil }
+
+// ViewOf returns the view of n bytes at off of a lazy backing (data nil
+// while every byte equals fill) belonging to src.
+func ViewOf(src any, data []byte, fill byte, version uint64, off, n int) View {
+	v := View{Src: src, Off: off, Len: n, Fill: fill}
+	if data != nil {
+		v.Data, v.Version = data[off:off+n:off+n], version
+	}
+	return v
 }
 
 // dense materialises r and returns its backing bytes.
@@ -99,6 +132,15 @@ func (r *Region) dense() []byte {
 		fillBytes(r.data, r.fill)
 	}
 	return r.data
+}
+
+// write copies p to off, materialising r, and bumps its version.
+func (r *Region) write(off int, p []byte) {
+	if len(p) == 0 {
+		return
+	}
+	copy(r.dense()[off:], p)
+	r.version++
 }
 
 // read returns a copy of the n bytes at off.
@@ -334,7 +376,7 @@ func (s *Space) Store(site Site, addr Addr, p []byte) error {
 	s.stores++
 	s.dispatch(Access{Kind: Store, Addr: addr, Size: len(p), Site: site})
 	if !s.timing {
-		copy(r.dense()[int(addr-r.base):], p)
+		r.write(int(addr-r.base), p)
 	}
 	return nil
 }
@@ -353,20 +395,16 @@ func (s *Space) Peek(addr Addr, n int) ([]byte, error) {
 	return r.read(int(addr-r.base), n), nil
 }
 
-// PeekView is Peek without the copy: it returns a slice aliasing the
-// region's live bytes, materialising a uniform region first. Callers must
-// treat it as read-only and must not retain it past the operation that
-// requested it — any later Store, Poke, Fill or Free changes or invalidates
-// the contents. The driver's transfer paths use it so capturing a payload
-// for hashing does not cost an allocation per transfer. A timing-only
-// space checks the range and returns nil: there are no bytes to move.
-func (s *Space) PeekView(addr Addr, n int) ([]byte, error) {
+// View is Peek without the copy, and without materialising a uniform
+// region: the driver's transfers read their source through it, so landing
+// and hashing a payload allocates nothing. It fails as Peek does; a
+// timing-only space checks the range and returns the zero View.
+func (s *Space) View(addr Addr, n int) (View, error) {
 	r, err := s.peekRegion(addr, n)
 	if err != nil || s.timing {
-		return nil, err
+		return View{}, err
 	}
-	off := int(addr - r.base)
-	return r.dense()[off : off+n : off+n], nil
+	return ViewOf(r, r.data, r.fill, r.version, int(addr-r.base), n), nil
 }
 
 // peekRegion returns the live region holding [addr, addr+n), or the error
@@ -390,7 +428,7 @@ func (s *Space) Poke(addr Addr, p []byte) error {
 	if err != nil || s.timing {
 		return err
 	}
-	copy(r.dense()[int(addr-r.base):], p)
+	r.write(int(addr-r.base), p)
 	return nil
 }
 
@@ -436,6 +474,7 @@ func (s *Space) Fill(addr Addr, v byte, n int) error {
 	if n == 0 || s.timing {
 		return nil
 	}
+	r.version++
 	if addr == r.base && n == r.size {
 		r.data, r.fill = nil, v
 		return nil

@@ -69,9 +69,6 @@ func (t Time) String() string {
 	return "+" + Duration(t).String()
 }
 
-// Std converts d to a time.Duration for formatting.
-func (d Duration) Std() time.Duration { return time.Duration(d) }
-
 // Seconds returns the duration as a floating-point number of seconds.
 func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
 
