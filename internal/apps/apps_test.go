@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"diogenes/internal/cuda"
+	"diogenes/internal/cupti"
+	"diogenes/internal/gpu"
 	"diogenes/internal/proc"
 	"diogenes/internal/simtime"
 )
@@ -22,6 +24,14 @@ func runApp(t *testing.T, name string, v Variant) simtime.Duration {
 		t.Fatalf("%s(%v): %v", name, v, err)
 	}
 	return p.ExecTime()
+}
+
+// listen installs a vendor activity collector on p, through which a test
+// counts the process's public driver calls (DriverCallsByFunc).
+func listen(p *proc.Process) *cupti.Collector {
+	col := cupti.New()
+	p.Ctx.SetListener(col)
+	return col
 }
 
 func TestRegistryOrder(t *testing.T) {
@@ -103,11 +113,12 @@ func TestScaledBounds(t *testing.T) {
 func TestCumfALSCallMix(t *testing.T) {
 	spec, _ := ByName("cumf_als")
 	p := spec.Factory().New()
+	col := listen(p)
 	app := NewCumfALS(0, Original) // one iteration
 	if err := app.Run(p); err != nil {
 		t.Fatal(err)
 	}
-	counts := p.Ctx.CallCounts()
+	counts := col.DriverCallsByFunc()
 	if counts["cudaFree"] != 17 {
 		t.Errorf("cudaFree = %d, want 17 per iteration", counts["cudaFree"])
 	}
@@ -127,13 +138,14 @@ func TestCumfALSCallMix(t *testing.T) {
 func TestCumfALSFixedSkipsHoistedChurn(t *testing.T) {
 	spec, _ := ByName("cumf_als")
 	orig, fixed := spec.Factory().New(), spec.Factory().New()
+	origCol, fixedCol := listen(orig), listen(fixed)
 	if err := NewCumfALS(0, Original).Run(orig); err != nil {
 		t.Fatal(err)
 	}
 	if err := NewCumfALS(0, Fixed).Run(fixed); err != nil {
 		t.Fatal(err)
 	}
-	co, cf := orig.Ctx.CallCounts(), fixed.Ctx.CallCounts()
+	co, cf := origCol.DriverCallsByFunc(), fixedCol.DriverCallsByFunc()
 	if cf["cudaFree"] >= co["cudaFree"] {
 		t.Fatalf("fixed frees %d not fewer than original %d", cf["cudaFree"], co["cudaFree"])
 	}
@@ -170,16 +182,17 @@ func TestCuIBMChurnSites(t *testing.T) {
 func TestAMGManagedMemsetOnlyInOriginal(t *testing.T) {
 	spec, _ := ByName("amg")
 	orig, fixed := spec.Factory().New(), spec.Factory().New()
+	origCol, fixedCol := listen(orig), listen(fixed)
 	if err := NewAMG(0, Original).Run(orig); err != nil {
 		t.Fatal(err)
 	}
 	if err := NewAMG(0, Fixed).Run(fixed); err != nil {
 		t.Fatal(err)
 	}
-	if orig.Ctx.CallCounts()["cudaMemset"] == 0 {
+	if origCol.DriverCallsByFunc()["cudaMemset"] == 0 {
 		t.Fatal("original AMG performs no cudaMemset")
 	}
-	if fixed.Ctx.CallCounts()["cudaMemset"] != 0 {
+	if fixedCol.DriverCallsByFunc()["cudaMemset"] != 0 {
 		t.Fatal("fixed AMG still calls cudaMemset")
 	}
 }
@@ -187,20 +200,50 @@ func TestAMGManagedMemsetOnlyInOriginal(t *testing.T) {
 func TestRodiniaFixedDropsThreadSync(t *testing.T) {
 	spec, _ := ByName("rodinia_gaussian")
 	orig, fixed := spec.Factory().New(), spec.Factory().New()
+	origCol, fixedCol := listen(orig), listen(fixed)
 	if err := NewRodiniaGaussian(0.01, Original).Run(orig); err != nil {
 		t.Fatal(err)
 	}
 	if err := NewRodiniaGaussian(0.01, Fixed).Run(fixed); err != nil {
 		t.Fatal(err)
 	}
-	if orig.Ctx.CallCounts()["cudaThreadSynchronize"] == 0 {
+	co, cf := origCol.DriverCallsByFunc(), fixedCol.DriverCallsByFunc()
+	if co["cudaThreadSynchronize"] == 0 {
 		t.Fatal("original gaussian never calls cudaThreadSynchronize")
 	}
-	if fixed.Ctx.CallCounts()["cudaThreadSynchronize"] != 0 {
+	if cf["cudaThreadSynchronize"] != 0 {
 		t.Fatal("fixed gaussian still synchronizes per row")
 	}
-	if fixed.Ctx.CallCounts()["cudaLaunchKernel"] != orig.Ctx.CallCounts()["cudaLaunchKernel"] {
+	if cf["cudaLaunchKernel"] != co["cudaLaunchKernel"] {
 		t.Fatal("fix changed the kernel work")
+	}
+}
+
+// TestListenerSeesEveryPublicCall pins what the call-mix tests rely on:
+// the vendor listener is told of every driver call except those through
+// the private entry points, so its per-function counts are the process's
+// whole public call mix. None of the four apps calls the private API, so
+// each process ends with one private gemm to keep the exclusion tested.
+func TestListenerSeesEveryPublicCall(t *testing.T) {
+	for _, spec := range Registry() {
+		p := spec.Factory().New()
+		col := listen(p)
+		private := int64(0)
+		for _, fn := range []cuda.Func{cuda.FuncPrivateGemm, cuda.FuncPrivateMemcpy} {
+			p.Ctx.AttachProbe(fn, cuda.Probe{Entry: func(*cuda.Call) { private++ }})
+		}
+		if err := spec.New(tinyScale, Original).Run(p); err != nil {
+			t.Fatalf("%s: %v", spec.Name, err)
+		}
+		p.Ctx.PrivateGemm("gemm", simtime.Microsecond, gpu.LegacyStream, true)
+		public := int64(0)
+		for _, n := range col.DriverCallsByFunc() {
+			public += n
+		}
+		if total := p.Ctx.TotalCalls(); private != 1 || public == 0 || public != total-private {
+			t.Errorf("%s: listener saw %d public calls, want %d driver calls - %d private",
+				spec.Name, public, total, private)
+		}
 	}
 }
 
@@ -250,11 +293,12 @@ func TestFixesPreserveResults(t *testing.T) {
 
 func TestExtremeWorkload(t *testing.T) {
 	p := ExtremeFactory().New()
+	col := listen(p)
 	app := NewExtreme(0.05)
 	if err := app.Run(p); err != nil {
 		t.Fatal(err)
 	}
-	counts := p.Ctx.CallCounts()
+	counts := col.DriverCallsByFunc()
 	if counts["cudaMemcpy"] < 20 || counts["cudaFree"] < 20 || counts["cudaDeviceSynchronize"] < 20 {
 		t.Fatalf("call mix off: %v", counts)
 	}
@@ -288,12 +332,13 @@ func TestRandomAppMultiDevice(t *testing.T) {
 	f := proc.DefaultFactory()
 	f.Devices = 3
 	p := f.New()
+	col := listen(p)
 	app := NewRandomApp(9, 80)
 	app.MaxDevices = 3
 	if err := app.Run(p); err != nil {
 		t.Fatal(err)
 	}
-	if p.Ctx.CallCounts()["cudaSetDevice"] == 0 {
+	if col.DriverCallsByFunc()["cudaSetDevice"] == 0 {
 		t.Fatal("multi-device random app never switched devices")
 	}
 }

@@ -150,8 +150,7 @@ func Demangle(name string) string {
 
 // Stack is the live call stack of the simulated application thread.
 type Stack struct {
-	frames  []Frame
-	depthHW int // high-water mark, for diagnostics
+	frames []Frame
 
 	// Shared-snapshot interning. Applications sit in the same loop for
 	// thousands of driver calls, so the same stack is snapshotted over and
@@ -170,9 +169,6 @@ func New() *Stack { return &Stack{} }
 // semantics used by the app framework: the declaration site of the callee.
 func (s *Stack) Push(function, file string, line int) {
 	s.frames = append(s.frames, Frame{Function: function, File: file, Line: line})
-	if len(s.frames) > s.depthHW {
-		s.depthHW = len(s.frames)
-	}
 	s.version++
 }
 
@@ -198,9 +194,6 @@ func (s *Stack) SetLine(line int) {
 
 // Depth returns the current nesting depth.
 func (s *Stack) Depth() int { return len(s.frames) }
-
-// MaxDepth returns the deepest nesting observed.
-func (s *Stack) MaxDepth() int { return s.depthHW }
 
 // Snapshot returns the current trace, innermost frame first.
 func (s *Stack) Snapshot() Trace {

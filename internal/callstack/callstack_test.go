@@ -17,9 +17,6 @@ func TestPushPopDepth(t *testing.T) {
 	if s.Depth() != 1 {
 		t.Fatalf("Depth after pop = %d", s.Depth())
 	}
-	if s.MaxDepth() != 2 {
-		t.Fatalf("MaxDepth = %d, want 2", s.MaxDepth())
-	}
 }
 
 func TestPopEmptyPanics(t *testing.T) {

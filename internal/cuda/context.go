@@ -82,15 +82,6 @@ type Probe struct {
 	Overhead simtime.Duration
 }
 
-// ProbeID identifies an attached probe.
-type ProbeID int
-
-type attachedProbe struct {
-	id ProbeID
-	fn Func
-	p  Probe
-}
-
 // ActivityListener receives the events the vendor's CUPTI framework would
 // publish. The cupti package implements it; registering nothing is the
 // uninstrumented case.
@@ -155,18 +146,14 @@ type Context struct {
 	hostAttrs map[*memory.Region]HostAttr
 	managed   map[*memory.Region]*gpu.DevBuf // unified host region -> device mirror
 
-	probes          []attachedProbe
-	nextProbe       ProbeID
 	nextEvent       int
 	filter          CallFilter
 	suppressed      map[Func]int64
-	byFunc          map[Func][]*attachedProbe
+	byFunc          map[Func][]Probe
 	listener        ActivityListener
 	capturePayloads bool
 	captureStacks   bool
 
-	calls      map[Func]int64
-	callTime   map[Func]simtime.Duration
 	totalCalls int64
 
 	// frames holds finished Call frames for reuse, so a driver call does
@@ -220,9 +207,7 @@ func NewMultiContext(clock *simtime.Clock, devs []*gpu.Device, host *memory.Spac
 		content:   host.Content(),
 		hostAttrs: make(map[*memory.Region]HostAttr),
 		managed:   make(map[*memory.Region]*gpu.DevBuf),
-		byFunc:    make(map[Func][]*attachedProbe),
-		calls:     make(map[Func]int64),
-		callTime:  make(map[Func]simtime.Duration),
+		byFunc:    make(map[Func][]Probe),
 	}
 }
 
@@ -305,35 +290,12 @@ func (c *Context) elided(fn Func) bool {
 	return true
 }
 
-// AttachProbe wraps driver function fn with p, returning an id for
-// DetachProbe. Multiple probes on one function fire in attach order.
-func (c *Context) AttachProbe(fn Func, p Probe) ProbeID {
-	c.nextProbe++
-	ap := attachedProbe{id: c.nextProbe, fn: fn, p: p}
-	c.probes = append(c.probes, ap)
-	c.rebuildProbeIndex()
-	return ap.id
+// AttachProbe wraps driver function fn with p for the rest of the
+// process's life: every FFM stage runs in a fresh process, so nothing
+// detaches. Multiple probes on one function fire in attach order.
+func (c *Context) AttachProbe(fn Func, p Probe) {
+	c.byFunc[fn] = append(c.byFunc[fn], p)
 }
-
-// DetachProbe removes a probe. Unknown ids are ignored.
-func (c *Context) DetachProbe(id ProbeID) {
-	for i := range c.probes {
-		if c.probes[i].id == id {
-			c.probes = append(c.probes[:i], c.probes[i+1:]...)
-			c.rebuildProbeIndex()
-			return
-		}
-	}
-}
-
-// DetachAllProbes removes every probe (end of an FFM stage).
-func (c *Context) DetachAllProbes() {
-	c.probes = nil
-	c.rebuildProbeIndex()
-}
-
-// ProbeCount returns the number of attached probes.
-func (c *Context) ProbeCount() int { return len(c.probes) }
 
 // ProbeOverheadOf returns the summed per-event overhead of the probes
 // attached to fn — the virtual time one entry (or exit) firing of fn's
@@ -342,41 +304,10 @@ func (c *Context) ProbeCount() int { return len(c.probes) }
 // currently instrumenting the process.
 func (c *Context) ProbeOverheadOf(fn Func) simtime.Duration {
 	var total simtime.Duration
-	for _, ap := range c.byFunc[fn] {
-		total += ap.p.Overhead
+	for _, p := range c.byFunc[fn] {
+		total += p.Overhead
 	}
 	return total
-}
-
-// rebuildProbeIndex repoints byFunc at the probes slice after it changed.
-// It reuses the map and each function's slice, so a warm attach/detach
-// cycle allocates nothing.
-func (c *Context) rebuildProbeIndex() {
-	for fn, aps := range c.byFunc {
-		c.byFunc[fn] = aps[:0]
-	}
-	for i := range c.probes {
-		ap := &c.probes[i]
-		c.byFunc[ap.fn] = append(c.byFunc[ap.fn], ap)
-	}
-}
-
-// CallCounts returns per-function call counts.
-func (c *Context) CallCounts() map[Func]int64 {
-	out := make(map[Func]int64, len(c.calls))
-	for k, v := range c.calls {
-		out[k] = v
-	}
-	return out
-}
-
-// CallTime returns per-function cumulative CPU time.
-func (c *Context) CallTime() map[Func]simtime.Duration {
-	out := make(map[Func]simtime.Duration, len(c.callTime))
-	for k, v := range c.callTime {
-		out[k] = v
-	}
-	return out
 }
 
 // TotalCalls returns the number of driver calls issued (public + private).
@@ -391,9 +322,6 @@ func (c *Context) HostAttrOf(addr memory.Addr) HostAttr {
 	}
 	return c.hostAttrs[r]
 }
-
-// ManagedBufFor returns the device mirror of a managed host region, or nil.
-func (c *Context) ManagedBufFor(r *memory.Region) *gpu.DevBuf { return c.managed[r] }
 
 // InstrumentationOverhead returns the total virtual time charged by
 // instrumentation so far.
@@ -413,20 +341,20 @@ func (c *Context) ChargeOverhead(d simtime.Duration) {
 
 // fireEntry runs entry probes for fn.
 func (c *Context) fireEntry(fn Func, call *Call) {
-	for _, ap := range c.byFunc[fn] {
-		c.ChargeOverhead(ap.p.Overhead)
-		if ap.p.Entry != nil {
-			ap.p.Entry(call)
+	for _, p := range c.byFunc[fn] {
+		c.ChargeOverhead(p.Overhead)
+		if p.Entry != nil {
+			p.Entry(call)
 		}
 	}
 }
 
 // fireExit runs exit probes for fn.
 func (c *Context) fireExit(fn Func, call *Call) {
-	for _, ap := range c.byFunc[fn] {
-		c.ChargeOverhead(ap.p.Overhead)
-		if ap.p.Exit != nil {
-			ap.p.Exit(call)
+	for _, p := range c.byFunc[fn] {
+		c.ChargeOverhead(p.Overhead)
+		if p.Exit != nil {
+			p.Exit(call)
 		}
 	}
 }
@@ -459,7 +387,6 @@ func (c *Context) freeCall(call *Call) {
 // the stack if requested, and fires entry probes.
 func (c *Context) beginCall(fn Func, kind CallKind) *Call {
 	call := c.newCall(fn, kind)
-	c.calls[fn]++
 	c.totalCalls++
 	if c.captureStacks && c.probed(fn) {
 		call.Stack = c.stack.SharedSnapshot()
@@ -473,7 +400,6 @@ func (c *Context) beginCall(fn Func, kind CallKind) *Call {
 // listener for public API calls, and frees the frame.
 func (c *Context) endCall(call *Call) {
 	call.Exit = c.clock.Now()
-	c.callTime[call.Func] += call.Duration()
 	c.fireExit(call.Func, call)
 	if c.listener != nil && call.Func.IsPublic() {
 		c.listener.DriverCall(call.Func, call.Entry, call.Exit)

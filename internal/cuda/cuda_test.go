@@ -2,6 +2,7 @@ package cuda
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"diogenes/internal/callstack"
@@ -271,28 +272,30 @@ func TestHangOnNeverCompletingKernel(t *testing.T) {
 	e.ctx.DeviceSynchronize()
 }
 
-func TestProbeEntryExitOrderAndDetach(t *testing.T) {
+func TestProbeEntryExitOrder(t *testing.T) {
 	e := newEnv()
 	var events []string
-	id := e.ctx.AttachProbe(FuncMalloc, Probe{
+	e.ctx.AttachProbe(FuncMalloc, Probe{
 		Entry: func(c *Call) { events = append(events, "entry") },
 		Exit:  func(c *Call) { events = append(events, "exit") },
 	})
+	e.ctx.AttachProbe(FuncMalloc, Probe{Exit: func(c *Call) { events = append(events, "second exit") }})
 	if _, err := e.ctx.Malloc(64, "x"); err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != 2 || events[0] != "entry" || events[1] != "exit" {
-		t.Fatalf("events = %v", events)
+	if want := []string{"entry", "exit", "second exit"}; !reflect.DeepEqual(events, want) {
+		t.Fatalf("events = %v, want %v (probes fire in attach order)", events, want)
 	}
-	e.ctx.DetachProbe(id)
-	if _, err := e.ctx.Malloc(64, "y"); err != nil {
+	// Only the probed function fires.
+	buf, err := e.ctx.Malloc(64, "y")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != 2 {
-		t.Fatal("probe fired after detach")
+	if err := e.ctx.Free(buf); err != nil {
+		t.Fatal(err)
 	}
-	if e.ctx.ProbeCount() != 0 {
-		t.Fatalf("ProbeCount = %d", e.ctx.ProbeCount())
+	if len(events) != 6 {
+		t.Fatalf("events after a second malloc and a free = %v", events)
 	}
 }
 
@@ -377,18 +380,23 @@ func TestTransferCallMetadata(t *testing.T) {
 
 func TestCallCountsAndTime(t *testing.T) {
 	e := newEnv()
+	var l callLog
+	l.attach(e.ctx)
+	l.start(e.clock.Now())
 	_, _ = e.ctx.Malloc(64, "a")
 	_, _ = e.ctx.Malloc(64, "b")
 	e.ctx.DeviceSynchronize()
-	counts := e.ctx.CallCounts()
+	counts := l.driverCalls()
 	if counts[FuncMalloc] != 2 || counts[FuncDeviceSync] != 1 {
 		t.Fatalf("counts = %v", counts)
 	}
 	if e.ctx.TotalCalls() != 3 {
 		t.Fatalf("TotalCalls = %d", e.ctx.TotalCalls())
 	}
-	if e.ctx.CallTime()[FuncMalloc] <= 0 {
-		t.Fatal("no time attributed to cudaMalloc")
+	for _, r := range l.listened {
+		if r.fn == FuncMalloc && r.end <= r.start {
+			t.Fatal("no time attributed to cudaMalloc")
+		}
 	}
 }
 
@@ -401,11 +409,14 @@ func TestManagedLifecycle(t *testing.T) {
 	if e.ctx.HostAttrOf(r.Base()) != HostManaged {
 		t.Fatalf("attr = %v", e.ctx.HostAttrOf(r.Base()))
 	}
-	if e.ctx.ManagedBufFor(r) == nil {
-		t.Fatal("no device mirror")
+	if live := e.dev.MemStats().LiveBytes; live != 4096 {
+		t.Fatalf("device holds %d live bytes, want the 4096-byte mirror", live)
 	}
 	if err := e.ctx.FreeManaged(r); err != nil {
 		t.Fatal(err)
+	}
+	if live := e.dev.MemStats().LiveBytes; live != 0 {
+		t.Fatalf("device holds %d live bytes after FreeManaged, want 0", live)
 	}
 	if !r.Freed() {
 		t.Fatal("host region not freed")
@@ -524,19 +535,6 @@ func TestInternalDecoysFireWhenProbed(t *testing.T) {
 	}
 	if hits[FuncInternalSync] != 2 { // DeviceSynchronize + Free
 		t.Fatalf("sync internal fired %d times, want 2", hits[FuncInternalSync])
-	}
-}
-
-func TestDetachAllProbes(t *testing.T) {
-	e := newEnv()
-	fired := 0
-	e.ctx.AttachProbe(FuncMalloc, Probe{Entry: func(*Call) { fired++ }})
-	e.ctx.AttachProbe(FuncFree, Probe{Entry: func(*Call) { fired++ }})
-	e.ctx.DetachAllProbes()
-	buf, _ := e.ctx.Malloc(64, "x")
-	_ = e.ctx.Free(buf)
-	if fired != 0 {
-		t.Fatal("probes fired after DetachAllProbes")
 	}
 }
 

@@ -116,6 +116,9 @@ func TestEventSyncVisibleToCUPTIAndDiogenes(t *testing.T) {
 	e := newEnv()
 	var syncs []SyncScope
 	e.ctx.AttachProbe(FuncInternalSync, Probe{Exit: func(c *Call) { syncs = append(syncs, c.Scope) }})
+	var l callLog
+	l.attach(e.ctx)
+	l.start(e.clock.Now())
 	_, _ = e.ctx.LaunchKernel(KernelSpec{Name: "k", Duration: simtime.Millisecond, Stream: gpu.LegacyStream})
 	ev := e.ctx.EventCreate()
 	_ = e.ctx.EventRecord(ev, gpu.LegacyStream)
@@ -123,7 +126,7 @@ func TestEventSyncVisibleToCUPTIAndDiogenes(t *testing.T) {
 	if len(syncs) != 1 || syncs[0] != SyncExplicit {
 		t.Fatalf("funnel observations = %v", syncs)
 	}
-	if e.ctx.CallCounts()[FuncEventSynchronize] != 1 {
+	if l.driverCalls()[FuncEventSynchronize] != 1 {
 		t.Fatal("event sync not counted")
 	}
 }

@@ -126,23 +126,6 @@ func (c *Collector) Records() []Activity { return c.records }
 // Dropped returns how many records were lost to the buffer limit.
 func (c *Collector) Dropped() int64 { return c.dropped }
 
-// Reset clears the buffer.
-func (c *Collector) Reset() {
-	c.records = nil
-	c.dropped = 0
-}
-
-// OfKind returns the records of one kind, in order.
-func (c *Collector) OfKind(k ActivityKind) []Activity {
-	var out []Activity
-	for _, a := range c.records {
-		if a.Kind == k {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
 // DriverTimeByFunc sums driver-call record durations per API function —
 // the aggregation NVProf's "API calls" summary section performs.
 func (c *Collector) DriverTimeByFunc() map[string]simtime.Duration {
@@ -161,18 +144,6 @@ func (c *Collector) DriverCallsByFunc() map[string]int64 {
 	for _, a := range c.records {
 		if a.Kind == ActivityDriverCall {
 			out[a.Name]++
-		}
-	}
-	return out
-}
-
-// SyncTimeByFunc sums synchronization record durations per requesting API
-// function. Only explicit synchronizations ever appear here.
-func (c *Collector) SyncTimeByFunc() map[string]simtime.Duration {
-	out := make(map[string]simtime.Duration)
-	for _, a := range c.records {
-		if a.Kind == ActivitySynchronization {
-			out[a.Name] += a.Duration()
 		}
 	}
 	return out

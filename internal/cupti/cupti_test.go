@@ -27,6 +27,17 @@ func newEnv() *env {
 	return &env{clock: clock, host: host, ctx: ctx, col: col}
 }
 
+// ofKind returns the collector's records of one kind, in order.
+func ofKind(c *Collector, k ActivityKind) []Activity {
+	var out []Activity
+	for _, a := range c.Records() {
+		if a.Kind == k {
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
 func TestDriverCallsRecordedForPublicAPI(t *testing.T) {
 	e := newEnv()
 	buf, _ := e.ctx.Malloc(1024, "x")
@@ -53,7 +64,7 @@ func TestPrivateAPIInvisible(t *testing.T) {
 		}
 	}
 	// But the kernel itself is visible to the hardware queues.
-	if len(e.col.OfKind(ActivityKernel)) != 1 {
+	if len(ofKind(e.col, ActivityKernel)) != 1 {
 		t.Fatal("kernel activity missing")
 	}
 }
@@ -69,7 +80,7 @@ func TestImplicitSyncInvisible(t *testing.T) {
 	}
 	_, _ = e.ctx.LaunchKernel(cuda.KernelSpec{Name: "k", Duration: simtime.Millisecond, Stream: gpu.LegacyStream})
 	_ = e.ctx.Free(buf) // waits a full millisecond for the kernel
-	if got := len(e.col.OfKind(ActivitySynchronization)); got != 0 {
+	if got := len(ofKind(e.col, ActivitySynchronization)); got != 0 {
 		t.Fatalf("implicit syncs produced %d records, want 0", got)
 	}
 }
@@ -82,7 +93,7 @@ func TestConditionalSyncInvisible(t *testing.T) {
 	if err := e.ctx.MemcpyAsyncD2H(pageable.Base(), buf.Base(), 1<<20, s); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(e.col.OfKind(ActivitySynchronization)); got != 0 {
+	if got := len(ofKind(e.col, ActivitySynchronization)); got != 0 {
 		t.Fatalf("conditional sync produced %d records, want 0", got)
 	}
 	// The memcpy driver call itself is recorded.
@@ -95,15 +106,12 @@ func TestExplicitSyncVisible(t *testing.T) {
 	e := newEnv()
 	_, _ = e.ctx.LaunchKernel(cuda.KernelSpec{Name: "k", Duration: simtime.Millisecond, Stream: gpu.LegacyStream})
 	e.ctx.DeviceSynchronize()
-	syncs := e.col.OfKind(ActivitySynchronization)
+	syncs := ofKind(e.col, ActivitySynchronization)
 	if len(syncs) != 1 {
 		t.Fatalf("got %d sync records, want 1", len(syncs))
 	}
 	if syncs[0].Name != "cudaDeviceSynchronize" || syncs[0].Duration() <= 0 {
 		t.Fatalf("sync record = %+v", syncs[0])
-	}
-	if e.col.SyncTimeByFunc()["cudaDeviceSynchronize"] != syncs[0].Duration() {
-		t.Fatal("SyncTimeByFunc mismatch")
 	}
 }
 
@@ -114,13 +122,13 @@ func TestDeviceOpsRecorded(t *testing.T) {
 	_ = e.ctx.MemcpyH2D(buf.Base(), src.Base(), 4096)
 	_, _ = e.ctx.LaunchKernel(cuda.KernelSpec{Name: "k", Duration: simtime.Microsecond, Stream: gpu.LegacyStream})
 	_ = e.ctx.MemsetDev(buf.Base(), 0, 4096)
-	if len(e.col.OfKind(ActivityMemcpy)) != 1 {
+	if len(ofKind(e.col, ActivityMemcpy)) != 1 {
 		t.Fatal("memcpy activity missing")
 	}
-	if len(e.col.OfKind(ActivityKernel)) != 1 {
+	if len(ofKind(e.col, ActivityKernel)) != 1 {
 		t.Fatal("kernel activity missing")
 	}
-	if len(e.col.OfKind(ActivityMemset)) != 1 {
+	if len(ofKind(e.col, ActivityMemset)) != 1 {
 		t.Fatal("memset activity missing")
 	}
 }
@@ -128,7 +136,7 @@ func TestDeviceOpsRecorded(t *testing.T) {
 func TestNeverCompletingKernelHasZeroSpan(t *testing.T) {
 	e := newEnv()
 	_, _ = e.ctx.LaunchKernel(cuda.KernelSpec{Name: "spin", Duration: simtime.Duration(simtime.Infinity), Stream: gpu.LegacyStream})
-	k := e.col.OfKind(ActivityKernel)
+	k := ofKind(e.col, ActivityKernel)
 	if len(k) != 1 || k[0].Duration() != 0 {
 		t.Fatalf("infinite kernel records = %+v", k)
 	}
@@ -145,15 +153,6 @@ func TestBufferLimitDropsRecords(t *testing.T) {
 	}
 	if e.col.Dropped() != 7 {
 		t.Fatalf("dropped = %d, want 7", e.col.Dropped())
-	}
-}
-
-func TestReset(t *testing.T) {
-	e := newEnv()
-	_, _ = e.ctx.Malloc(64, "x")
-	e.col.Reset()
-	if len(e.col.Records()) != 0 || e.col.Dropped() != 0 {
-		t.Fatal("Reset did not clear")
 	}
 }
 
@@ -190,8 +189,8 @@ func TestSyncTimeVastlyUnderreported(t *testing.T) {
 		_ = e.ctx.Free(buf)
 	}
 	var cuptiWait simtime.Duration
-	for _, d := range e.col.SyncTimeByFunc() {
-		cuptiWait += d
+	for _, a := range ofKind(e.col, ActivitySynchronization) {
+		cuptiWait += a.Duration()
 	}
 	if trueWait < 4*simtime.Millisecond {
 		t.Fatalf("true wait only %v", trueWait)

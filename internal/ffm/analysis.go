@@ -156,14 +156,6 @@ func (a *Analysis) TotalBenefit() simtime.Duration {
 	return graph.ExpectedBenefit(a.Graph, a.Opts.Graph).Total
 }
 
-// TopGroup returns the highest-benefit overview group, if any.
-func (a *Analysis) TopGroup() (graph.Group, bool) {
-	if len(a.Overview) == 0 {
-		return graph.Group{}, false
-	}
-	return a.Overview[0], true
-}
-
 // ProblemCounts returns how many nodes carry each problem class.
 func (a *Analysis) ProblemCounts() map[graph.Problem]int {
 	out := make(map[graph.Problem]int)

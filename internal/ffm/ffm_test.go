@@ -394,9 +394,8 @@ func TestGroupingsProduced(t *testing.T) {
 			t.Fatal("overview not sorted by benefit")
 		}
 	}
-	top, ok := a.TopGroup()
-	if !ok || top.Benefit <= 0 {
-		t.Fatalf("top group = %+v ok=%v", top, ok)
+	if top := a.Overview[0]; top.Benefit <= 0 {
+		t.Fatalf("top group = %+v", top)
 	}
 }
 

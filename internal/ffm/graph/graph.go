@@ -227,16 +227,6 @@ func (g *Graph) SumDurationBetween(i, j int) simtime.Duration {
 	return total
 }
 
-// TotalCPU returns the sum of all CPU edge durations (the modelled critical
-// path length on the CPU side).
-func (g *Graph) TotalCPU() simtime.Duration {
-	var total simtime.Duration
-	for _, n := range g.CPU {
-		total += n.OutCPU
-	}
-	return total
-}
-
 // Validate checks structural invariants: CPU nodes in nondecreasing STime
 // order and nonnegative durations. It returns the first violation found.
 func (g *Graph) Validate() error {

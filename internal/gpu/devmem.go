@@ -3,6 +3,7 @@ package gpu
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"diogenes/internal/memory"
@@ -88,7 +89,7 @@ type devAllocator struct {
 	live     int64
 	peak     int64
 	next     DevPtr
-	bufs     []*DevBuf // sorted by base
+	bufs     []*DevBuf // sorted by base; FreeBuf drops what it frees
 	allocs   int64
 	frees    int64
 }
@@ -119,23 +120,34 @@ func (d *Device) Malloc(n int, label string) (*DevBuf, error) {
 	return b, nil
 }
 
-// FreeBuf releases a device allocation.
+// FreeBuf releases a device allocation and drops it from the allocator's
+// live buffers, so a process keeps only what it has not freed; the
+// buffer's freed flag still catches a double free.
 func (d *Device) FreeBuf(b *DevBuf) error {
 	if b.freed {
 		return fmt.Errorf("%w: double free of %q", ErrBadDevPtr, b.label)
 	}
 	b.freed = true
 	b.data = nil
-	d.mem.live -= int64(b.size)
-	d.mem.frees++
+	a := d.mem
+	if i := a.index(b.base); i < len(a.bufs) && a.bufs[i] == b {
+		a.bufs = slices.Delete(a.bufs, i, i+1)
+	}
+	a.live -= int64(b.size)
+	a.frees++
 	return nil
 }
 
-// BufAt returns the live buffer containing ptr, or nil.
+// index returns the position of the first listed buffer ending after ptr.
+func (a *devAllocator) index(ptr DevPtr) int {
+	return sort.Search(len(a.bufs), func(i int) bool { return a.bufs[i].End() > ptr })
+}
+
+// BufAt returns the live buffer containing ptr, or nil. A buffer freed
+// through another device's FreeBuf stays listed here, flagged freed.
 func (d *Device) BufAt(ptr DevPtr) *DevBuf {
 	a := d.mem
-	i := sort.Search(len(a.bufs), func(i int) bool { return a.bufs[i].End() > ptr })
-	if i < len(a.bufs) && ptr >= a.bufs[i].base && !a.bufs[i].freed {
+	if i := a.index(ptr); i < len(a.bufs) && ptr >= a.bufs[i].base && !a.bufs[i].freed {
 		return a.bufs[i]
 	}
 	return nil

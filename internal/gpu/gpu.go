@@ -338,11 +338,6 @@ func (d *Device) BusyTime(horizon simtime.Time) simtime.Duration {
 	return total
 }
 
-// IdleTime returns total device-idle virtual time up to horizon.
-func (d *Device) IdleTime(horizon simtime.Time) simtime.Duration {
-	return simtime.Duration(horizon) - simtime.Duration(d.BusyTime(horizon))
-}
-
 // Span is a half-open interval of virtual time.
 type Span struct {
 	Start simtime.Time

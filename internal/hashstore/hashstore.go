@@ -17,8 +17,9 @@
 // Any other payload is hashed with sha256. The short hex form is interned
 // per distinct payload, never per record.
 //
-// The store is safe for concurrent use, so stage 3 can hash under the
-// parallel engine's sched workers.
+// The store exposes only Insert and its counters (SetMetrics): stage 3
+// reads nothing else. It is safe for concurrent use, so stage 3 can hash
+// under the parallel engine's sched workers.
 package hashstore
 
 import (
@@ -60,18 +61,10 @@ func ValidDigest(s string) bool {
 	return true
 }
 
-// Entry records the first sighting of a payload.
-type Entry struct {
-	FirstSeq int64 // sequence number of the first transfer of this content
-	Bytes    int   // payload size
-	Count    int   // total transfers with this content, including the first
-}
-
-// entry is the store's internal record of one distinct payload.
+// entry is the store's record of one distinct payload: what Insert
+// returns for each later transfer of it.
 type entry struct {
-	firstSeq int64
-	size     int
-	count    int
+	firstSeq int64  // sequence number of the first transfer of this content
 	hex8     string // interned short hex of the digest
 }
 
@@ -101,10 +94,6 @@ type Store struct {
 	entries map[Key]*entry
 	uniform map[uniformKey]*entry
 	dense   map[denseKey]denseMemo
-	// stats
-	inserts    int64
-	duplicates int64
-	dupBytes   int64
 
 	// Instrument pointers resolved by SetMetrics (nil-safe no-ops until
 	// then).
@@ -141,30 +130,24 @@ func (s *Store) SetMetrics(m *obs.Registry) {
 func (s *Store) Insert(v memory.View, seq int64) (dup bool, firstSeq int64, hash string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.inserts++
-	e := s.memo(v)
-	if e != nil {
+	if e := s.memo(v); e != nil {
+		// A memo holds only payloads inserted before: a duplicate.
 		s.mSha256Avoided.Inc()
+		return true, e.firstSeq, e.hex8
+	}
+	s.mSha256.Inc()
+	sum := digest(v)
+	e, dup := s.entries[sum]
+	if !dup {
+		e = &entry{firstSeq: seq, hex8: sum.String()}
+		s.entries[sum] = e
+	}
+	if v.Uniform() {
+		s.uniform[uniformKey{v.Fill, v.Len}] = e
 	} else {
-		s.mSha256.Inc()
-		sum := digest(v)
-		if e = s.entries[sum]; e == nil {
-			e = &entry{firstSeq: seq, size: v.Len, hex8: sum.String()}
-			s.entries[sum] = e
-		}
-		if v.Uniform() {
-			s.uniform[uniformKey{v.Fill, v.Len}] = e
-		} else {
-			s.dense[denseKey{v.Src, v.Off, v.Len}] = denseMemo{v.Version, e}
-		}
+		s.dense[denseKey{v.Src, v.Off, v.Len}] = denseMemo{v.Version, e}
 	}
-	e.count++
-	if e.count == 1 {
-		return false, seq, e.hex8
-	}
-	s.duplicates++
-	s.dupBytes += int64(v.Len)
-	return true, e.firstSeq, e.hex8
+	return dup, e.firstSeq, e.hex8
 }
 
 // memo returns the entry a memo holds for v's bytes, or nil.
@@ -197,43 +180,4 @@ func digest(v memory.View) Key {
 	var k Key
 	h.Sum(k[:0])
 	return k
-}
-
-// Lookup returns the entry for a content key, if any.
-func (s *Store) Lookup(k Key) (Entry, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.entries[k]
-	if !ok {
-		return Entry{}, false
-	}
-	return Entry{FirstSeq: e.firstSeq, Bytes: e.size, Count: e.count}, true
-}
-
-// Len returns the number of distinct payloads seen.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.entries)
-}
-
-// Inserts returns the total number of Insert calls.
-func (s *Store) Inserts() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.inserts
-}
-
-// Duplicates returns the number of duplicate transfers detected.
-func (s *Store) Duplicates() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.duplicates
-}
-
-// DuplicateBytes returns the total bytes carried by duplicate transfers.
-func (s *Store) DuplicateBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dupBytes
 }

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -28,9 +29,6 @@ func TestFirstInsertNotDuplicate(t *testing.T) {
 	if first != 10 {
 		t.Fatalf("firstSeq = %d, want 10", first)
 	}
-	if s.Len() != 1 || s.Inserts() != 1 || s.Duplicates() != 0 {
-		t.Fatalf("stats: len=%d inserts=%d dups=%d", s.Len(), s.Inserts(), s.Duplicates())
-	}
 }
 
 func TestDuplicateDetection(t *testing.T) {
@@ -43,12 +41,8 @@ func TestDuplicateDetection(t *testing.T) {
 	if first != 1 {
 		t.Fatalf("firstSeq = %d, want 1", first)
 	}
-	e, ok := s.Lookup(Hash([]byte("same bytes")))
-	if !ok || e.Count != 2 || e.FirstSeq != 1 || e.Bytes != len("same bytes") {
-		t.Fatalf("entry = %+v ok=%v", e, ok)
-	}
-	if s.Duplicates() != 1 || s.DuplicateBytes() != int64(len("same bytes")) {
-		t.Fatalf("dup stats: %d / %d", s.Duplicates(), s.DuplicateBytes())
+	if dup, first, hash := s.Insert(bytesView([]byte("same bytes")), 9); !dup || first != 1 || hash != Hash([]byte("same bytes")).String() {
+		t.Fatalf("third insert: dup=%v first=%d hash=%q", dup, first, hash)
 	}
 }
 
@@ -62,15 +56,13 @@ func TestDistinctPayloadsDistinctKeys(t *testing.T) {
 	if h1 == h2 {
 		t.Fatal("hash collision on trivially different inputs")
 	}
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d", s.Len())
-	}
 }
 
 func TestLookupMissing(t *testing.T) {
 	s := New()
-	if _, ok := s.Lookup(Hash([]byte("never inserted"))); ok {
-		t.Fatal("Lookup found phantom entry")
+	s.Insert(bytesView([]byte("inserted")), 1)
+	if dup, first, _ := s.Insert(bytesView([]byte("never inserted")), 2); dup || first != 2 {
+		t.Fatalf("a payload never inserted before: dup=%v first=%d, want fresh at 2", dup, first)
 	}
 }
 
@@ -107,9 +99,6 @@ func TestRefMatchesEagerHash(t *testing.T) {
 		if want := Hash(p).String(); hash != want {
 			t.Fatalf("payload %d: short hex %q != %q", i, hash, want)
 		}
-		if _, ok := s.Lookup(Hash(p)); !ok {
-			t.Fatalf("payload %d: Lookup by its sha256 digest failed", i)
-		}
 	}
 }
 
@@ -144,26 +133,34 @@ func TestMetricsCounters(t *testing.T) {
 		}
 		return v
 	}
-	s.Insert(view(), 1) // uniform zeros: computed
-	s.Insert(view(), 2) // the same (fill, length): avoided
+	var distinct, dups int
+	insert := func(v memory.View, seq int64) {
+		if dup, _, _ := s.Insert(v, seq); dup {
+			dups++
+		} else {
+			distinct++
+		}
+	}
+	insert(view(), 1) // uniform zeros: computed
+	insert(view(), 2) // the same (fill, length): avoided
 	if err := sp.Poke(src.Base(), []byte("one")); err != nil {
 		t.Fatal(err)
 	}
-	s.Insert(view(), 3)                   // computed
-	s.Insert(view(), 4)                   // unchanged source: avoided
-	s.Insert(bytesView([]byte("one")), 5) // another source: computed, duplicate
+	insert(view(), 3)                   // computed
+	insert(view(), 4)                   // unchanged source: avoided
+	insert(bytesView([]byte("one")), 5) // another source: computed, duplicate
 	if err := sp.Poke(src.Base(), []byte("one")); err != nil {
 		t.Fatal(err)
 	}
-	s.Insert(view(), 6) // rewritten: computed, duplicate
+	insert(view(), 6) // rewritten: computed, duplicate
 	if got := reg.Counter("hashstore/sha256_computed").Value(); got != 4 {
 		t.Fatalf("sha256_computed = %d, want 4", got)
 	}
 	if got := reg.Counter("hashstore/sha256_avoided").Value(); got != 2 {
 		t.Fatalf("sha256_avoided = %d, want 2 (the memo hits)", got)
 	}
-	if s.Len() != 2 || s.Duplicates() != 4 {
-		t.Fatalf("distinct = %d, duplicates = %d, want 2 and 4", s.Len(), s.Duplicates())
+	if distinct != 2 || dups != 4 {
+		t.Fatalf("distinct = %d, duplicates = %d, want 2 and 4", distinct, dups)
 	}
 }
 
@@ -193,36 +190,43 @@ func TestUniformPayloadUnread(t *testing.T) {
 	if v, _ := sp.View(r.Base(), n); !v.Uniform() {
 		t.Fatal("hashing a uniform payload materialised its region")
 	}
-	if e, ok := s.Lookup(Hash(dense)); !ok || e.Bytes != n || e.Count != 2 {
-		t.Fatalf("entry = %+v ok=%v", e, ok)
-	}
 }
 
 func TestConcurrentInsert(t *testing.T) {
+	reg := obs.NewRegistry()
 	s := New()
+	s.SetMetrics(reg)
 	var wg sync.WaitGroup
+	var distinct, dups atomic.Int64
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				payload := []byte(fmt.Sprintf("payload-%d", i%17))
-				if _, _, hash := s.Insert(bytesView(payload), int64(g*1000+i)); hash != Hash(payload).String() {
+				dup, _, hash := s.Insert(bytesView(payload), int64(g*1000+i))
+				if hash != Hash(payload).String() {
 					t.Errorf("payload %q: hash %q", payload, hash)
+				}
+				if dup {
+					dups.Add(1)
+				} else {
+					distinct.Add(1)
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	if s.Len() != 17 {
-		t.Fatalf("Len = %d, want 17 distinct payloads", s.Len())
+	if distinct.Load() != 17 {
+		t.Fatalf("distinct = %d, want 17 distinct payloads", distinct.Load())
 	}
-	if s.Inserts() != 8*200 {
-		t.Fatalf("Inserts = %d, want %d", s.Inserts(), 8*200)
+	inserts := reg.Counter("hashstore/sha256_computed").Value() + reg.Counter("hashstore/sha256_avoided").Value()
+	if inserts != 8*200 {
+		t.Fatalf("inserts = %d, want %d", inserts, 8*200)
 	}
-	if s.Duplicates() != s.Inserts()-int64(s.Len()) {
-		t.Fatalf("Duplicates = %d inconsistent with %d inserts / %d distinct",
-			s.Duplicates(), s.Inserts(), s.Len())
+	if dups.Load() != inserts-distinct.Load() {
+		t.Fatalf("duplicates = %d inconsistent with %d inserts / %d distinct",
+			dups.Load(), inserts, distinct.Load())
 	}
 }
 
@@ -236,11 +240,15 @@ func TestQuickHashDeterministic(t *testing.T) {
 func TestQuickDuplicateCountConsistent(t *testing.T) {
 	f := func(payloads [][]byte) bool {
 		s := New()
+		seen := map[Key]bool{}
 		for i, p := range payloads {
-			s.Insert(bytesView(p), int64(i))
+			dup, _, _ := s.Insert(bytesView(p), int64(i))
+			if dup != seen[Hash(p)] {
+				return false
+			}
+			seen[Hash(p)] = true
 		}
-		return s.Inserts() == int64(len(payloads)) &&
-			s.Duplicates() == s.Inserts()-int64(s.Len())
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -153,9 +153,8 @@ type TracerOptions struct {
 // performance data on calls that do not contain a problematic
 // synchronization or memory transfer operation."
 type CallTracer struct {
-	ctx    *cuda.Context
-	opts   TracerOptions
-	probes []cuda.ProbeID
+	ctx  *cuda.Context
+	opts TracerOptions
 	// arena slab-allocates records during the run; Records() flattens it
 	// into final exactly once. Slabs are pooled process-wide, so tracing
 	// allocates no record memory in steady state.
@@ -196,12 +195,11 @@ func NewCallTracer(ctx *cuda.Context, funcs []cuda.Func, opts TracerOptions) *Ca
 		ctx.SetPayloadCapture(true)
 	}
 	for _, fn := range funcs {
-		id := ctx.AttachProbe(fn, cuda.Probe{
+		ctx.AttachProbe(fn, cuda.Probe{
 			Overhead: opts.Overhead,
 			Entry:    t.onEntry,
 			Exit:     t.onExit,
 		})
-		t.probes = append(t.probes, id)
 	}
 	return t
 }
@@ -268,14 +266,6 @@ func (t *CallTracer) Records() []trace.Record {
 // Count returns the number of records collected so far.
 func (t *CallTracer) Count() int { return t.arena.Len() + len(t.final) }
 
-// Detach removes the tracer's probes.
-func (t *CallTracer) Detach() {
-	for _, id := range t.probes {
-		t.ctx.DetachProbe(id)
-	}
-	t.probes = nil
-}
-
 // FirstAccess is the observation RangeTracker delivers: the first
 // instrumented CPU access to GPU-writable data after the tracker was armed.
 type FirstAccess struct {
@@ -294,11 +284,9 @@ type RangeTracker struct {
 	clock    *simtime.Clock
 	overhead simtime.Duration
 	charge   func(simtime.Duration)
-	watches  []memory.WatchID
 	covered  []coveredRange
 	armed    bool
 	onFirst  func(FirstAccess)
-	accesses int64
 	sites    map[memory.Site]bool
 
 	mAccesses *obs.Counter
@@ -341,8 +329,7 @@ func (rt *RangeTracker) AddRange(lo, hi memory.Addr) {
 		}
 	}
 	rt.covered = append(rt.covered, coveredRange{lo: lo, hi: hi})
-	id := rt.host.Watch(lo, hi, rt.onAccess)
-	rt.watches = append(rt.watches, id)
+	rt.host.Watch(lo, hi, rt.onAccess)
 }
 
 // FilterSites restricts the tracker to accesses from the given instruction
@@ -355,7 +342,6 @@ func (rt *RangeTracker) onAccess(a memory.Access) {
 	if rt.sites != nil && !rt.sites[a.Site] {
 		return
 	}
-	rt.accesses++
 	rt.mAccesses.Inc()
 	rt.mAccessNS.Add(int64(rt.overhead))
 	if rt.overhead > 0 {
@@ -378,24 +364,3 @@ func (rt *RangeTracker) onAccess(a memory.Access) {
 // Arming while already armed re-arms (the previous synchronization saw no
 // access, i.e. its protected data was never used).
 func (rt *RangeTracker) Arm() { rt.armed = true }
-
-// Disarm cancels a pending Arm.
-func (rt *RangeTracker) Disarm() { rt.armed = false }
-
-// Armed reports whether the tracker is waiting for an access.
-func (rt *RangeTracker) Armed() bool { return rt.armed }
-
-// Accesses returns how many watched accesses were observed in total.
-func (rt *RangeTracker) Accesses() int64 { return rt.accesses }
-
-// RangeCount returns the number of instrumented ranges.
-func (rt *RangeTracker) RangeCount() int { return len(rt.watches) }
-
-// Detach removes all watchers.
-func (rt *RangeTracker) Detach() {
-	for _, id := range rt.watches {
-		rt.host.Unwatch(id)
-	}
-	rt.watches = nil
-	rt.armed = false
-}

@@ -8,6 +8,7 @@ import (
 	"diogenes/internal/cuda"
 	"diogenes/internal/gpu"
 	"diogenes/internal/memory"
+	"diogenes/internal/obs"
 	"diogenes/internal/simtime"
 	"diogenes/internal/trace"
 )
@@ -29,6 +30,9 @@ func newEnv() *env {
 	return &env{clock: clock, dev: dev, host: host, stack: stack,
 		ctx: cuda.NewContext(clock, dev, host, stack, cuda.DefaultConfig())}
 }
+
+// accesses returns the watched-access counter a tracker reports to reg.
+func accesses(reg *obs.Registry) int64 { return reg.Counter("interpose/accesses").Value() }
 
 func freshCtx() *cuda.Context {
 	return newEnv().ctx
@@ -110,20 +114,6 @@ func TestCallTracerSkipsNonSyncNonTransfer(t *testing.T) {
 	}
 }
 
-func TestCallTracerDetach(t *testing.T) {
-	e := newEnv()
-	tr := NewCallTracer(e.ctx, []cuda.Func{cuda.FuncDeviceSync}, TracerOptions{})
-	e.ctx.DeviceSynchronize()
-	tr.Detach()
-	e.ctx.DeviceSynchronize()
-	if tr.Count() != 1 {
-		t.Fatalf("records after detach: %d", tr.Count())
-	}
-	if e.ctx.ProbeCount() != 0 {
-		t.Fatal("probes left attached")
-	}
-}
-
 func TestCallTracerOnRecordAnnotation(t *testing.T) {
 	e := newEnv()
 	tr := NewCallTracer(e.ctx, []cuda.Func{cuda.FuncDeviceSync}, TracerOptions{
@@ -167,6 +157,8 @@ func TestRangeTrackerFirstAccess(t *testing.T) {
 	e := newEnv()
 	var got []FirstAccess
 	rt := NewRangeTracker(e.host, e.clock, 0, func(fa FirstAccess) { got = append(got, fa) })
+	reg := obs.NewRegistry()
+	rt.SetMetrics(reg)
 	r := e.host.Alloc(4096, "gpu result")
 	rt.AddRange(r.Base(), r.End())
 
@@ -174,9 +166,6 @@ func TestRangeTrackerFirstAccess(t *testing.T) {
 	site2 := memory.Site{Function: "useAgain", File: "als.cpp", Line: 900}
 
 	rt.Arm()
-	if !rt.Armed() {
-		t.Fatal("not armed")
-	}
 	_, _ = e.host.Load(site1, r.Base(), 8)
 	_, _ = e.host.Load(site2, r.Base(), 8) // second access: no report
 	if len(got) != 1 {
@@ -185,17 +174,14 @@ func TestRangeTrackerFirstAccess(t *testing.T) {
 	if got[0].Site != site1 || got[0].Kind != memory.Load {
 		t.Fatalf("report = %+v", got[0])
 	}
-	if rt.Armed() {
-		t.Fatal("still armed after first access")
-	}
 	// Re-arm catches the next access.
 	rt.Arm()
 	_, _ = e.host.Load(site2, r.Base()+16, 8)
 	if len(got) != 2 || got[1].Site != site2 {
 		t.Fatalf("re-arm reports = %+v", got)
 	}
-	if rt.Accesses() != 3 {
-		t.Fatalf("Accesses = %d, want 3", rt.Accesses())
+	if n := accesses(reg); n != 3 {
+		t.Fatalf("interpose/accesses = %d, want 3", n)
 	}
 }
 
@@ -211,7 +197,8 @@ func TestRangeTrackerIgnoresOtherMemory(t *testing.T) {
 	if fired != 0 {
 		t.Fatal("access outside tracked range fired")
 	}
-	if !rt.Armed() {
+	_ = e.host.Store(memory.Site{Function: "f"}, tracked.Base(), []byte{1})
+	if fired != 1 {
 		t.Fatal("tracker disarmed by unrelated access")
 	}
 }
@@ -227,32 +214,6 @@ func TestRangeTrackerOverheadCharged(t *testing.T) {
 	}
 	if got := e.clock.Now().Sub(before); got != 50*simtime.Microsecond {
 		t.Fatalf("overhead = %v, want 50µs", got)
-	}
-}
-
-func TestRangeTrackerDisarmAndDetach(t *testing.T) {
-	e := newEnv()
-	fired := 0
-	rt := NewRangeTracker(e.host, e.clock, 0, func(FirstAccess) { fired++ })
-	r := e.host.Alloc(64, "t")
-	rt.AddRange(r.Base(), r.End())
-	if rt.RangeCount() != 1 {
-		t.Fatalf("RangeCount = %d", rt.RangeCount())
-	}
-	rt.Arm()
-	rt.Disarm()
-	_, _ = e.host.Load(memory.Site{}, r.Base(), 1)
-	if fired != 0 {
-		t.Fatal("fired while disarmed")
-	}
-	rt.Detach()
-	if rt.RangeCount() != 0 || e.host.WatchCount() != 0 {
-		t.Fatal("Detach left watches")
-	}
-	rt.Arm()
-	_, _ = e.host.Load(memory.Site{}, r.Base(), 1)
-	if fired != 0 {
-		t.Fatal("fired after Detach")
 	}
 }
 
@@ -281,6 +242,8 @@ func TestRangeTrackerSiteFilter(t *testing.T) {
 	e := newEnv()
 	var got []FirstAccess
 	rt := NewRangeTracker(e.host, e.clock, 10*simtime.Microsecond, func(fa FirstAccess) { got = append(got, fa) })
+	reg := obs.NewRegistry()
+	rt.SetMetrics(reg)
 	r := e.host.Alloc(64, "tracked")
 	rt.AddRange(r.Base(), r.End())
 
@@ -292,13 +255,13 @@ func TestRangeTrackerSiteFilter(t *testing.T) {
 	before := e.clock.Now()
 	// Non-matching site: no report, no overhead charge, stays armed.
 	_, _ = e.host.Load(other, r.Base(), 4)
-	if len(got) != 0 || !rt.Armed() {
+	if len(got) != 0 {
 		t.Fatal("filtered site fired")
 	}
 	if e.clock.Now() != before {
 		t.Fatal("filtered access charged overhead")
 	}
-	// Matching site fires and is charged.
+	// Matching site fires, since the tracker is still armed, and is charged.
 	_, _ = e.host.Load(wanted, r.Base(), 4)
 	if len(got) != 1 || got[0].Site != wanted {
 		t.Fatalf("reports = %+v", got)
@@ -306,25 +269,30 @@ func TestRangeTrackerSiteFilter(t *testing.T) {
 	if e.clock.Now() != before.Add(10*simtime.Microsecond) {
 		t.Fatal("matching access not charged")
 	}
-	if rt.Accesses() != 1 {
-		t.Fatalf("Accesses = %d, want only matching ones", rt.Accesses())
+	if n := accesses(reg); n != 1 {
+		t.Fatalf("interpose/accesses = %d, want only matching ones", n)
 	}
 }
 
 func TestRangeTrackerDedupsCoveredRanges(t *testing.T) {
 	e := newEnv()
 	rt := NewRangeTracker(e.host, e.clock, 0, nil)
+	reg := obs.NewRegistry()
+	rt.SetMetrics(reg)
 	r := e.host.Alloc(4096, "buf")
 	for i := 0; i < 100; i++ {
 		rt.AddRange(r.Base(), r.End())
 	}
-	if rt.RangeCount() != 1 {
-		t.Fatalf("RangeCount = %d, want 1 (dedup)", rt.RangeCount())
+	// One access into a range added 100 times is instrumented once.
+	_, _ = e.host.Load(memory.Site{}, r.Base(), 1)
+	if n := accesses(reg); n != 1 {
+		t.Fatalf("interpose/accesses = %d after one access, want 1 (dedup)", n)
 	}
-	// A partially-overlapping wider range is still added.
+	// A range not covered by an earlier one is still added.
 	r2 := e.host.Alloc(4096, "buf2")
 	rt.AddRange(r2.Base(), r2.End())
-	if rt.RangeCount() != 2 {
-		t.Fatalf("RangeCount = %d, want 2", rt.RangeCount())
+	_, _ = e.host.Load(memory.Site{}, r2.Base(), 1)
+	if n := accesses(reg); n != 2 {
+		t.Fatalf("interpose/accesses = %d after an access to the second range, want 2", n)
 	}
 }

@@ -197,16 +197,12 @@ var (
 	ErrNoContent = errors.New("memory: contents not simulated")
 )
 
-// WatchID identifies a registered range watcher.
-type WatchID int
-
 // WatchFunc receives each instrumented access that overlaps the watched
 // range. It corresponds to the analysis snippet Diogenes attaches to load and
 // store instructions.
 type WatchFunc func(Access)
 
 type watch struct {
-	id WatchID
 	lo Addr
 	hi Addr // exclusive
 	fn WatchFunc
@@ -221,11 +217,6 @@ type Space struct {
 	next    Addr
 	regions []*Region // sorted by base
 	watches []watch
-	nextID  WatchID
-
-	// counters for tests and overhead accounting
-	loads  int64
-	stores int64
 }
 
 // NewSpace returns an empty address space. Address zero is never allocated
@@ -243,12 +234,6 @@ func NewTimingSpace() *Space {
 
 // Content reports whether the space keeps its regions' contents.
 func (s *Space) Content() bool { return !s.timing }
-
-// Loads returns the number of instrumented load accesses performed.
-func (s *Space) Loads() int64 { return s.loads }
-
-// Stores returns the number of instrumented store accesses performed.
-func (s *Space) Stores() int64 { return s.stores }
 
 // Alloc reserves size bytes and returns the new region. Allocations are
 // page-aligned, matching the paper's page-aligned allocation of variables
@@ -298,34 +283,18 @@ func (s *Space) RegionAt(addr Addr) *Region {
 	return nil
 }
 
-// Watch registers fn for every instrumented access overlapping [lo, hi).
-// It returns an id for Unwatch. Watches model the load/store instrumentation
-// stage 3 inserts for GPU-writable ranges; they observe only instrumented
-// application accesses (Load/Store), not driver DMA (Peek/Poke), exactly as
-// binary instrumentation of CPU code would.
-func (s *Space) Watch(lo, hi Addr, fn WatchFunc) WatchID {
+// Watch registers fn for every instrumented access overlapping [lo, hi),
+// for the rest of the process's life: every FFM stage runs in a fresh
+// process, so nothing unwatches. Watches model the load/store
+// instrumentation stage 3 inserts for GPU-writable ranges; they observe only
+// instrumented application accesses (Load/Store), not driver DMA
+// (Peek/Poke), exactly as binary instrumentation of CPU code would.
+func (s *Space) Watch(lo, hi Addr, fn WatchFunc) {
 	if hi <= lo {
 		panic(fmt.Sprintf("memory: Watch empty range [%d,%d)", lo, hi))
 	}
-	s.nextID++
-	s.watches = append(s.watches, watch{id: s.nextID, lo: lo, hi: hi, fn: fn})
-	return s.nextID
+	s.watches = append(s.watches, watch{lo: lo, hi: hi, fn: fn})
 }
-
-// Unwatch removes a watcher registered with Watch. Removing an unknown id is
-// a no-op, so teardown code can be unconditional.
-func (s *Space) Unwatch(id WatchID) {
-	for i := range s.watches {
-		if s.watches[i].id == id {
-			s.watches = append(s.watches[:i], s.watches[i+1:]...)
-			return
-		}
-	}
-}
-
-// WatchCount returns the number of active watches (used by overhead models:
-// each armed watch adds per-access cost).
-func (s *Space) WatchCount() int { return len(s.watches) }
 
 func (s *Space) dispatch(a Access) {
 	end := a.Addr + Addr(a.Size)
@@ -350,7 +319,6 @@ func (s *Space) Load(site Site, addr Addr, n int) ([]byte, error) {
 	if addr+Addr(n) > r.End() {
 		return nil, fmt.Errorf("%w: load [%#x,%#x) past end of %q", ErrOutOfRange, addr, addr+Addr(n), r.label)
 	}
-	s.loads++
 	s.dispatch(Access{Kind: Load, Addr: addr, Size: n, Site: site})
 	if s.timing {
 		return nil, nil
@@ -373,7 +341,6 @@ func (s *Space) Store(site Site, addr Addr, p []byte) error {
 	if r.protected {
 		return fmt.Errorf("%w: %q at %#x", ErrProtected, r.label, addr)
 	}
-	s.stores++
 	s.dispatch(Access{Kind: Store, Addr: addr, Size: len(p), Site: site})
 	if !s.timing {
 		r.write(int(addr-r.base), p)

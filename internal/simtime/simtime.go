@@ -91,14 +91,6 @@ func Min(a, b Time) Time {
 	return b
 }
 
-// MaxDuration returns the larger of a and b.
-func MaxDuration(a, b Duration) Duration {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Clock is the virtual CPU clock. It only moves forward. A single Clock is
 // shared by the application thread, the driver, and the instrumentation
 // layer; the GPU device keeps its own per-stream timelines expressed in the
@@ -163,20 +155,6 @@ func (r *RNG) Intn(n int) int {
 // Float64 returns a value in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
-}
-
-// Jitter returns d scaled by a factor in [1-frac, 1+frac]. Workload models
-// use it to avoid perfectly uniform event trains while staying deterministic.
-func (r *RNG) Jitter(d Duration, frac float64) Duration {
-	if frac <= 0 {
-		return d
-	}
-	scale := 1 + frac*(2*r.Float64()-1)
-	j := Duration(float64(d) * scale)
-	if j < 0 {
-		return 0
-	}
-	return j
 }
 
 // Bytes fills p with deterministic pseudo-random bytes. Applications use it

@@ -249,17 +249,3 @@ func (r *Run) TotalSyncWait() simtime.Duration {
 	}
 	return total
 }
-
-// ByFunc groups record indexes by API function.
-func (r *Run) ByFunc() map[string][]int {
-	out := make(map[string][]int)
-	for i, rec := range r.Records {
-		out[rec.Func] = append(out[rec.Func], i)
-	}
-	return out
-}
-
-// SiteOf converts a callstack frame to a trace Site.
-func SiteOf(f callstack.Frame) Site {
-	return Site{Function: f.Function, File: f.File, Line: f.Line}
-}

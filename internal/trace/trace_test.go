@@ -106,16 +106,6 @@ func TestTotalSyncWait(t *testing.T) {
 	}
 }
 
-func TestByFunc(t *testing.T) {
-	m := sampleRun().ByFunc()
-	if len(m["cudaFree"]) != 1 || m["cudaFree"][0] != 0 {
-		t.Fatalf("ByFunc = %v", m)
-	}
-	if len(m) != 3 {
-		t.Fatalf("got %d funcs", len(m))
-	}
-}
-
 func TestRecordDuration(t *testing.T) {
 	r := Record{Entry: 100, Exit: 350}
 	if r.Duration() != 250 {
@@ -136,10 +126,6 @@ func TestSiteHelpers(t *testing.T) {
 	}
 	if (Site{}).String() != "<unknown>" {
 		t.Fatal("zero site string wrong")
-	}
-	f := callstack.Frame{Function: "g", File: "y.cpp", Line: 9}
-	if SiteOf(f) != (Site{Function: "g", File: "y.cpp", Line: 9}) {
-		t.Fatal("SiteOf wrong")
 	}
 }
 
